@@ -14,21 +14,43 @@
 //! * re-running the same configuration reuses the cached record instead
 //!   of re-simulating (`--no-cache` opts out), reconstructing a
 //!   [`RunResult`] that is equal to the original, so rendered tables are
-//!   byte-identical across cached and fresh runs.
+//!   byte-identical across cached and fresh runs. Static, case and
+//!   controller-driven ([`SweepRunner::run_dynamic`]) runs all cache.
 //!
-//! The cache key is an FNV-1a hash over the schema version, the case
-//! (name, priorities, placement) and the debug form of the rank
-//! programs, so any change to the workload or configuration invalidates
-//! the record automatically. Engine changes require bumping
-//! [`SCHEMA_VERSION`].
+//! **The cache key** is a streaming FNV-1a hash over a binary encoding
+//! of the configuration, fed field by field with no intermediate string:
+//! a key-format tag (`KEY_FORMAT`), [`SCHEMA_VERSION`], the run kind,
+//! the small case and run fields (name, priorities, placement, kernel,
+//! noise, fidelity, topology, …) in their debug form, and then every
+//! rank's program name and *flattened* op stream, walked in place with
+//! [`mtb_mpisim::interp::for_each_op`]. Each op is a variant tag followed
+//! by its fields — integers as little-endian bytes, `f64` profile fields
+//! as their bit patterns, strings length-prefixed — so every work amount,
+//! message size and workload profile is covered, and distinct
+//! configurations feed distinct byte streams. Engine changes require
+//! bumping [`SCHEMA_VERSION`]; key-encoding changes bump `KEY_FORMAT`.
+//! Either way old record files are never requested again: they are
+//! orphaned and safe to delete.
+//!
+//! **A record file** is compact JSON written field by field in a fixed
+//! order ([`RunRecord::to_json`]) and decoded in one pass with the pull
+//! [`mtb_snap::json::Reader`] ([`RunRecord::from_json`]), which accepts
+//! exactly that order. Anything else — a truncation, a reordered key, a
+//! bad number — is an `Err`, and the harness deletes the file and
+//! re-simulates. A record from another schema is recognized from its
+//! leading `schema` field alone.
 
-use crate::json::Json;
+use crate::json::{write_f64, write_string, write_u64, Reader};
 use mtb_core::balance::{execute, execute_chunked, BalanceError, CheckpointSink, StaticRun};
 use mtb_core::paper_cases::Case;
 use mtb_core::TwoLevelController;
 use mtb_mpisim::engine::RunResult;
-use mtb_mpisim::program::Program;
+use mtb_mpisim::interp::{for_each_op, FlatOp, OpRef};
+use mtb_mpisim::program::{Program, TracePhase, WorkSpec};
 use mtb_mpisim::{Engine, NullObserver};
+use mtb_smtsim::inst::StreamSpec;
+use mtb_smtsim::model::{Workload, WorkloadProfile};
+use mtb_snap::Fnv1a;
 use mtb_trace::paraver::CommEvent;
 use mtb_trace::{ProcState, RunMetrics, Timeline, TimelineBuilder};
 
@@ -66,6 +88,14 @@ use std::time::Instant;
 /// static ones.
 pub const SCHEMA_VERSION: u64 = 5;
 
+/// The cache-key encoding, hashed ahead of everything else in every key.
+/// Bump it when the encoding changes (the record layout is untouched, so
+/// [`SCHEMA_VERSION`] — which record hashes cover — stays put).
+///
+/// Format 1 (unnamed) hashed the debug text of every flattened op;
+/// format 2 streams the binary encoding described in the module docs.
+const KEY_FORMAT: &str = "mtb-key/2";
+
 /// 64-bit FNV-1a — the cache's (and the per-case seed's) hash function,
 /// shared with the checkpoint layer so both hash domains agree.
 pub use mtb_snap::fnv1a;
@@ -82,57 +112,222 @@ pub fn case_seed(case: &Case) -> u64 {
     fnv1a(key.as_bytes())
 }
 
-/// Append the full content of each rank program to the hash key.
-/// `Program`'s `Debug` form is intentionally compact (it elides loop
-/// bodies and work sizes), so the key uses the *flattened* per-rank op
-/// streams — which carry every work amount, message size and workload
-/// profile — plus the program names (they become timeline labels).
-fn push_programs(key: &mut String, programs: &[Program]) {
-    for (rank, p) in programs.iter().enumerate() {
-        key.push_str(&format!(
-            "{:?}\x1f{:?}\x1f",
-            p.name,
-            mtb_mpisim::interp::flatten(p, rank)
-        ));
+/// The op-stream terminator; op variant tags are `0..=10`.
+const END_OF_PROGRAM: u8 = 0xff;
+
+/// Streams a cache key into FNV-1a. Every field is self-delimiting —
+/// fixed-width integers, `f64` bit patterns, variant tags and
+/// length-prefixed strings — so the byte stream decodes back to exactly
+/// one configuration. Structs are destructured without `..`: a new field
+/// is a compile error here rather than a silent cache collision.
+struct KeyHasher(Fnv1a);
+
+impl KeyHasher {
+    /// A key for runs of `kind`, under the current format and schema.
+    fn new(kind: &str) -> KeyHasher {
+        let mut key = KeyHasher(Fnv1a::new());
+        key.str(KEY_FORMAT);
+        key.u64(SCHEMA_VERSION);
+        key.str(kind);
+        key
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+
+    fn u8(&mut self, b: u8) {
+        self.0.write(&[b]);
+    }
+
+    fn u32(&mut self, n: u32) {
+        self.0.write(&n.to_le_bytes());
+    }
+
+    fn u64(&mut self, n: u64) {
+        self.0.write(&n.to_le_bytes());
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.0.write(s.as_bytes());
+    }
+
+    /// A small configuration field, by its debug form.
+    fn debug(&mut self, v: &impl std::fmt::Debug) {
+        self.str(&format!("{v:?}"));
+    }
+
+    /// Every rank's program name and flattened op stream.
+    fn programs(&mut self, programs: &[Program]) {
+        self.u64(programs.len() as u64);
+        for (rank, program) in programs.iter().enumerate() {
+            match &program.name {
+                None => self.u8(0),
+                Some(name) => {
+                    self.u8(1);
+                    self.str(name);
+                }
+            }
+            for_each_op(program, rank, |op| match op {
+                OpRef::Work(work) => self.work(work),
+                OpRef::Op(op) => self.op(&op),
+            });
+            self.u8(END_OF_PROGRAM);
+        }
+    }
+
+    /// A compute op (tag 0) and its work.
+    fn work(&mut self, work: &WorkSpec) {
+        let WorkSpec {
+            workload,
+            instructions,
+        } = work;
+        let Workload {
+            name,
+            stream,
+            profile,
+        } = workload;
+        let StreamSpec {
+            fx,
+            fp,
+            ls,
+            br,
+            dep_dist,
+            working_set,
+            code_kb,
+            seed,
+        } = stream;
+        let WorkloadProfile {
+            ipc_st,
+            unit_pressure,
+            mem_intensity,
+        } = profile;
+        self.u8(0);
+        self.u64(*instructions);
+        self.str(name);
+        for n in [fx, fp, ls, br, dep_dist, code_kb] {
+            self.u32(*n);
+        }
+        self.u64(*working_set);
+        self.u64(*seed);
+        for x in [ipc_st, unit_pressure, mem_intensity] {
+            self.f64(*x);
+        }
+    }
+
+    fn op(&mut self, op: &FlatOp) {
+        match op {
+            FlatOp::Compute(work) => self.work(work),
+            FlatOp::Send { to, tag, bytes } => {
+                self.u8(1);
+                self.u64(*to as u64);
+                self.u32(*tag);
+                self.u64(*bytes);
+            }
+            FlatOp::Recv { from, tag } => {
+                self.u8(2);
+                self.u64(*from as u64);
+                self.u32(*tag);
+            }
+            FlatOp::Isend { to, tag, bytes } => {
+                self.u8(3);
+                self.u64(*to as u64);
+                self.u32(*tag);
+                self.u64(*bytes);
+            }
+            FlatOp::Irecv { from, tag } => {
+                self.u8(4);
+                self.u64(*from as u64);
+                self.u32(*tag);
+            }
+            FlatOp::WaitAll => self.u8(5),
+            FlatOp::Barrier => self.u8(6),
+            FlatOp::AllReduce { bytes } => {
+                self.u8(7);
+                self.u64(*bytes);
+            }
+            FlatOp::Bcast { root, bytes } => {
+                self.u8(8);
+                self.u64(*root as u64);
+                self.u64(*bytes);
+            }
+            FlatOp::Reduce { root, bytes } => {
+                self.u8(9);
+                self.u64(*root as u64);
+                self.u64(*bytes);
+            }
+            FlatOp::Phase(phase) => {
+                self.u8(10);
+                self.u8(match phase {
+                    TracePhase::Init => 0,
+                    TracePhase::Body => 1,
+                    TracePhase::Final => 2,
+                });
+            }
+        }
+    }
+
+    /// The configuration fields of a [`StaticRun`] that determine its
+    /// result.
+    fn static_run(&mut self, run: &StaticRun<'_>) {
+        let StaticRun {
+            programs,
+            placement,
+            priorities,
+            kernel,
+            noise,
+            fidelity,
+            cores,
+            topology,
+            wait_policy,
+            stepping,
+            // Results are bit-identical at every thread count, with or
+            // without checkpoints and under either segmentation, so none
+            // of these enter the key.
+            threads: _,
+            checkpoint_every: _,
+            segmentation: _,
+        } = run;
+        self.debug(placement);
+        self.debug(priorities);
+        self.debug(kernel);
+        self.debug(noise);
+        self.debug(fidelity);
+        self.u64(*cores as u64);
+        self.debug(topology);
+        self.debug(wait_policy);
+        self.debug(stepping);
+        self.programs(programs);
     }
 }
 
 /// The cache key for a default-configuration case run.
 pub fn config_hash(case: &Case, programs: &[Program]) -> u64 {
-    let mut key = format!("v{SCHEMA_VERSION}\x1f");
-    key.push_str(&format!(
-        "{}\x1f{:?}\x1f{:?}\x1f",
-        case.name, case.priorities, case.placement
-    ));
-    push_programs(&mut key, programs);
-    fnv1a(key.as_bytes())
-}
-
-/// The static configuration fields of the cache key (everything but the
-/// schema prefix and the optional controller field).
-fn push_static_fields(key: &mut String, run: &StaticRun<'_>) {
-    key.push_str(&format!(
-        "{:?}\x1f{:?}\x1f{:?}\x1f{:?}\x1f{:?}\x1f{}\x1f{:?}\x1f{:?}\x1f{:?}\x1f",
-        run.placement,
-        run.priorities,
-        run.kernel,
-        run.noise,
-        run.fidelity,
-        run.cores,
-        run.topology,
-        run.wait_policy,
-        run.stepping
-    ));
-    push_programs(key, run.programs);
+    let Case {
+        name,
+        placement,
+        priorities,
+    } = case;
+    let mut key = KeyHasher::new("case");
+    key.str(name);
+    key.debug(priorities);
+    key.debug(placement);
+    key.programs(programs);
+    key.finish()
 }
 
 /// The cache key for a fully-specified [`StaticRun`] (covers kernel
 /// flavour, noise, fidelity, topology and wait policy on top of the
 /// case-level fields).
 pub fn config_hash_static(run: &StaticRun<'_>) -> u64 {
-    let mut key = format!("v{SCHEMA_VERSION}-static\x1f");
-    push_static_fields(&mut key, run);
-    fnv1a(key.as_bytes())
+    let mut key = KeyHasher::new("static");
+    key.static_run(run);
+    key.finish()
 }
 
 /// The cache key for a controller-driven (dynamic) run: the static
@@ -140,9 +335,10 @@ pub fn config_hash_static(run: &StaticRun<'_>) -> u64 {
 /// tunables, so any retuning of the controller invalidates its records
 /// while leaving static records untouched.
 pub fn config_hash_dynamic(run: &StaticRun<'_>, controller: &str) -> u64 {
-    let mut key = format!("v{SCHEMA_VERSION}-dynamic\x1fcontroller\x1f{controller}\x1f");
-    push_static_fields(&mut key, run);
-    fnv1a(key.as_bytes())
+    let mut key = KeyHasher::new("dynamic");
+    key.str(controller);
+    key.static_run(run);
+    key.finish()
 }
 
 /// The two-level controller's decision counters, preserved inside a
@@ -367,175 +563,222 @@ impl RunRecord {
         }
     }
 
-    /// Serialize to compact JSON.
+    /// Serialize to compact JSON, rendered field by field straight into
+    /// the output string.
     pub fn to_json(&self) -> String {
-        let uints = |v: &[u64]| Json::Arr(v.iter().map(|&n| Json::UInt(n)).collect());
-        let strs = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
-        Json::Obj(vec![
-            ("schema".into(), Json::UInt(self.schema)),
-            ("case".into(), Json::Str(self.case.clone())),
-            ("priorities".into(), strs(&self.priorities)),
-            ("placement".into(), strs(&self.placement)),
-            ("wall_secs".into(), Json::Float(self.wall_secs)),
-            ("compute_cycles".into(), uints(&self.compute_cycles)),
-            ("sync_cycles".into(), uints(&self.sync_cycles)),
-            ("retired".into(), uints(&self.retired)),
-            ("interrupt_cycles".into(), uints(&self.interrupt_cycles)),
-            ("busy_cycles".into(), uints(&self.busy_cycles)),
-            ("spin_cycles".into(), uints(&self.spin_cycles)),
-            ("total_cycles".into(), Json::UInt(self.total_cycles)),
-            ("notes".into(), strs(&self.notes)),
-            (
-                "timelines".into(),
-                Json::Arr(
-                    self.timelines
-                        .iter()
-                        .map(|t| {
-                            Json::Obj(vec![
-                                ("pid".into(), Json::UInt(t.pid)),
-                                ("label".into(), Json::Str(t.label.clone())),
-                                (
-                                    "intervals".into(),
-                                    Json::Arr(
-                                        t.intervals
-                                            .iter()
-                                            .map(|&(s, e, st)| {
-                                                Json::Arr(vec![
-                                                    Json::UInt(s),
-                                                    Json::UInt(e),
-                                                    Json::UInt(st as u64),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "comm".into(),
-                Json::Arr(
-                    self.comm
-                        .iter()
-                        .map(|c| {
-                            Json::Arr(vec![
-                                Json::UInt(c.from),
-                                Json::UInt(c.to),
-                                Json::UInt(c.bytes),
-                                Json::UInt(c.send_time),
-                                Json::UInt(c.recv_time),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render()
+        let RunRecord {
+            schema,
+            case,
+            priorities,
+            placement,
+            wall_secs,
+            compute_cycles,
+            sync_cycles,
+            retired,
+            interrupt_cycles,
+            busy_cycles,
+            spin_cycles,
+            total_cycles,
+            notes,
+            timelines,
+            comm,
+        } = self;
+        fn u64s(out: &mut String, v: &[u64]) {
+            out.push('[');
+            for (i, &n) in v.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_u64(out, n);
+            }
+            out.push(']');
+        }
+        fn strs(out: &mut String, v: &[String]) {
+            out.push('[');
+            for (i, s) in v.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_string(out, s);
+            }
+            out.push(']');
+        }
+        let intervals: usize = timelines.iter().map(|t| t.intervals.len()).sum();
+        let mut out = String::with_capacity(1024 + 32 * intervals + 64 * comm.len());
+        out.push_str("{\"schema\":");
+        write_u64(&mut out, *schema);
+        out.push_str(",\"case\":");
+        write_string(&mut out, case);
+        out.push_str(",\"priorities\":");
+        strs(&mut out, priorities);
+        out.push_str(",\"placement\":");
+        strs(&mut out, placement);
+        out.push_str(",\"wall_secs\":");
+        write_f64(&mut out, *wall_secs);
+        for (key, v) in [
+            ("compute_cycles", compute_cycles),
+            ("sync_cycles", sync_cycles),
+            ("retired", retired),
+            ("interrupt_cycles", interrupt_cycles),
+            ("busy_cycles", busy_cycles),
+            ("spin_cycles", spin_cycles),
+        ] {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            u64s(&mut out, v);
+        }
+        out.push_str(",\"total_cycles\":");
+        write_u64(&mut out, *total_cycles);
+        out.push_str(",\"notes\":");
+        strs(&mut out, notes);
+        out.push_str(",\"timelines\":[");
+        for (i, t) in timelines.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"pid\":");
+            write_u64(&mut out, t.pid);
+            out.push_str(",\"label\":");
+            write_string(&mut out, &t.label);
+            out.push_str(",\"intervals\":[");
+            for (j, &(start, end, state)) in t.intervals.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                u64s(&mut out, &[start, end, u64::from(state)]);
+            }
+            out.push_str("]}");
+        }
+        out.push_str("],\"comm\":[");
+        for (i, c) in comm.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            u64s(&mut out, &[c.from, c.to, c.bytes, c.send_time, c.recv_time]);
+        }
+        out.push_str("]}");
+        out
     }
 
-    /// Parse a record back from JSON text.
+    /// The schema of a record's JSON text, read from its leading field
+    /// alone — enough to recognize a record from another generation even
+    /// when the rest of its layout differs.
+    fn schema_of(text: &str) -> Result<u64, String> {
+        let mut r = Reader::new(text);
+        r.begin_object()?;
+        r.field("schema")?;
+        r.u64()
+    }
+
+    /// Parse a record back from JSON text in one pass, in the field order
+    /// [`RunRecord::to_json`] writes. Any other shape is an `Err`.
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
-        let doc = Json::parse(text)?;
-        let field = |k: &str| doc.get(k).ok_or_else(|| format!("missing field {k:?}"));
-        let uints = |k: &str| -> Result<Vec<u64>, String> {
-            field(k)?
-                .as_arr()
-                .ok_or_else(|| format!("{k} not an array"))?
-                .iter()
-                .map(|v| v.as_u64().ok_or_else(|| format!("{k}: non-integer entry")))
-                .collect()
+        let mut r = Reader::new(text);
+        r.begin_object()?;
+        r.field("schema")?;
+        let schema = r.u64()?;
+        r.field("case")?;
+        let case = r.string()?;
+        r.field("priorities")?;
+        let priorities = r.string_array()?;
+        r.field("placement")?;
+        let placement = r.string_array()?;
+        r.field("wall_secs")?;
+        let wall_secs = r.f64()?;
+        let per_rank = |r: &mut Reader<'_>, key: &str| {
+            r.field(key)?;
+            r.u64_array()
         };
-        let strs = |k: &str| -> Result<Vec<String>, String> {
-            field(k)?
-                .as_arr()
-                .ok_or_else(|| format!("{k} not an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("{k}: non-string entry"))
-                })
-                .collect()
-        };
-        let timelines = field("timelines")?
-            .as_arr()
-            .ok_or("timelines not an array")?
-            .iter()
-            .map(|t| {
-                let ivs = t
-                    .get("intervals")
-                    .and_then(Json::as_arr)
-                    .ok_or("timeline missing intervals")?
-                    .iter()
-                    .map(|iv| {
-                        let triple = iv.as_arr().ok_or("interval not a triple")?;
-                        match triple {
-                            [s, e, st] => {
-                                let st = st.as_u64().ok_or("bad state index")? as usize;
-                                if st >= ProcState::ALL.len() {
-                                    return Err(format!("state index {st} out of range"));
-                                }
-                                Ok((
-                                    s.as_u64().ok_or("bad interval start")?,
-                                    e.as_u64().ok_or("bad interval end")?,
-                                    st as u8,
-                                ))
-                            }
-                            _ => Err("interval not a triple".into()),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(TimelineRecord {
-                    pid: t
-                        .get("pid")
-                        .and_then(Json::as_u64)
-                        .ok_or("timeline missing pid")?,
-                    label: t
-                        .get("label")
-                        .and_then(Json::as_str)
-                        .ok_or("timeline missing label")?
-                        .to_string(),
-                    intervals: ivs,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let comm = field("comm")?
-            .as_arr()
-            .ok_or("comm not an array")?
-            .iter()
-            .map(|c| {
-                let v = c.as_arr().ok_or("comm entry not an array")?;
-                match v {
-                    [f, t, b, s, r] => Ok(CommRecord {
-                        from: f.as_u64().ok_or("bad comm.from")?,
-                        to: t.as_u64().ok_or("bad comm.to")?,
-                        bytes: b.as_u64().ok_or("bad comm.bytes")?,
-                        send_time: s.as_u64().ok_or("bad comm.send_time")?,
-                        recv_time: r.as_u64().ok_or("bad comm.recv_time")?,
-                    }),
-                    _ => Err("comm entry not a 5-tuple".to_string()),
+        let compute_cycles = per_rank(&mut r, "compute_cycles")?;
+        let sync_cycles = per_rank(&mut r, "sync_cycles")?;
+        let retired = per_rank(&mut r, "retired")?;
+        let interrupt_cycles = per_rank(&mut r, "interrupt_cycles")?;
+        let busy_cycles = per_rank(&mut r, "busy_cycles")?;
+        let spin_cycles = per_rank(&mut r, "spin_cycles")?;
+        r.field("total_cycles")?;
+        let total_cycles = r.u64()?;
+        r.field("notes")?;
+        let notes = r.string_array()?;
+        r.field("timelines")?;
+        let mut timelines = Vec::new();
+        r.begin_array()?;
+        while r.next_item()? {
+            r.begin_object()?;
+            r.field("pid")?;
+            let pid = r.u64()?;
+            r.field("label")?;
+            let label = r.string()?;
+            r.field("intervals")?;
+            let mut intervals = Vec::new();
+            r.begin_array()?;
+            while r.next_item()? {
+                let [start, end, state] = r.u64_tuple()?;
+                if state >= ProcState::ALL.len() as u64 {
+                    return Err(format!(
+                        "state index {state} out of range before byte {}",
+                        r.position()
+                    ));
                 }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+                intervals.push((start, end, state as u8));
+            }
+            r.end_object()?;
+            timelines.push(TimelineRecord {
+                pid,
+                label,
+                intervals,
+            });
+        }
+        r.field("comm")?;
+        let mut comm = Vec::new();
+        r.begin_array()?;
+        while r.next_item()? {
+            let [from, to, bytes, send_time, recv_time] = r.u64_tuple()?;
+            comm.push(CommRecord {
+                from,
+                to,
+                bytes,
+                send_time,
+                recv_time,
+            });
+        }
+        r.end_object()?;
+        r.finish()?;
         Ok(RunRecord {
-            schema: field("schema")?.as_u64().ok_or("bad schema")?,
-            case: field("case")?.as_str().ok_or("bad case")?.to_string(),
-            priorities: strs("priorities")?,
-            placement: strs("placement")?,
-            wall_secs: field("wall_secs")?.as_f64().ok_or("bad wall_secs")?,
-            compute_cycles: uints("compute_cycles")?,
-            sync_cycles: uints("sync_cycles")?,
-            retired: uints("retired")?,
-            interrupt_cycles: uints("interrupt_cycles")?,
-            busy_cycles: uints("busy_cycles")?,
-            spin_cycles: uints("spin_cycles")?,
-            total_cycles: field("total_cycles")?.as_u64().ok_or("bad total_cycles")?,
-            notes: strs("notes")?,
+            schema,
+            case,
+            priorities,
+            placement,
+            wall_secs,
+            compute_cycles,
+            sync_cycles,
+            retired,
+            interrupt_cycles,
+            busy_cycles,
+            spin_cycles,
+            total_cycles,
+            notes,
             timelines,
             comm,
         })
+    }
+}
+
+/// Why a record file on disk was not served.
+#[derive(Debug, PartialEq)]
+enum Reject {
+    /// Written under another [`SCHEMA_VERSION`].
+    Stale(u64),
+    /// Not a record this build can decode.
+    Corrupt(String),
+}
+
+/// Decode a record file's text if it is a current-schema record.
+fn decode_current(text: &str) -> Result<RunRecord, Reject> {
+    match RunRecord::schema_of(text) {
+        Ok(SCHEMA_VERSION) => RunRecord::from_json(text).map_err(Reject::Corrupt),
+        Ok(schema) => Err(Reject::Stale(schema)),
+        Err(why) => Err(Reject::Corrupt(why)),
     }
 }
 
@@ -721,23 +964,22 @@ impl SweepRunner {
                 return None;
             }
         };
-        match RunRecord::from_json(&text) {
-            Ok(record) if record.schema == SCHEMA_VERSION => Some(record),
+        match decode_current(&text) {
+            Ok(record) => Some(record),
             // A record from another schema generation is expected after
             // an engine change, but leaving it on disk means a cache dir
             // shared across versions grows without bound (stale hashes
             // are never requested again). Delete it like a corrupt one.
-            Ok(record) => {
+            Err(Reject::Stale(schema)) => {
                 eprintln!(
-                    "harness: stale run record {} (schema v{}, current v{SCHEMA_VERSION}); \
+                    "harness: stale run record {} (schema v{schema}, current v{SCHEMA_VERSION}); \
                      deleting and re-simulating",
                     path.display(),
-                    record.schema
                 );
                 let _ = std::fs::remove_file(&path);
                 None
             }
-            Err(why) => {
+            Err(Reject::Corrupt(why)) => {
                 eprintln!(
                     "harness: corrupt run record {} ({why}); discarding and re-simulating",
                     path.display()
@@ -766,8 +1008,12 @@ impl SweepRunner {
         static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
         let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp.{}.{nonce}", std::process::id()));
-        if std::fs::write(&tmp, record.to_json()).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
+        let published =
+            std::fs::write(&tmp, record.to_json()).and_then(|()| std::fs::rename(&tmp, &path));
+        if published.is_err() {
+            // A failed write can leave a partial tmp file, a failed
+            // rename a complete one; neither is ever read again.
+            let _ = std::fs::remove_file(&tmp);
         }
     }
 
@@ -1022,9 +1268,14 @@ pub fn print_summary() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtb_core::paper_cases::metbench_cases;
+    use crate::json::Json;
+    use mtb_core::paper_cases::{btmz_cases, metbench_cases, siesta_cases};
+    use mtb_mpisim::program::Stmt;
     use mtb_workloads::metbench::MetBenchConfig;
+    use mtb_workloads::{BtMzConfig, SiestaConfig};
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     fn temp_runner(jobs: usize, cache: bool) -> SweepRunner {
         static NONCE: AtomicU32 = AtomicU32::new(0);
@@ -1423,5 +1674,391 @@ mod tests {
         let on_disk = RunRecord::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(on_disk.schema, SCHEMA_VERSION, "fresh record replaced it");
         let _ = std::fs::remove_dir_all(&runner.options().dir);
+    }
+    /// The record rendered through a `Json` tree — the layout
+    /// [`RunRecord::to_json`] writes directly, as the tree codec would.
+    fn tree_json(r: &RunRecord) -> String {
+        let uints = |v: &[u64]| Json::Arr(v.iter().map(|&n| Json::UInt(n)).collect());
+        let strs = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
+        let timelines = r
+            .timelines
+            .iter()
+            .map(|t| {
+                Json::Obj(vec![
+                    ("pid".into(), Json::UInt(t.pid)),
+                    ("label".into(), Json::Str(t.label.clone())),
+                    (
+                        "intervals".into(),
+                        Json::Arr(
+                            t.intervals
+                                .iter()
+                                .map(|&(s, e, st)| uints(&[s, e, u64::from(st)]))
+                                .collect(),
+                        ),
+                    ),
+                ])
+            })
+            .collect();
+        let comm = r
+            .comm
+            .iter()
+            .map(|c| uints(&[c.from, c.to, c.bytes, c.send_time, c.recv_time]))
+            .collect();
+        Json::Obj(vec![
+            ("schema".into(), Json::UInt(r.schema)),
+            ("case".into(), Json::Str(r.case.clone())),
+            ("priorities".into(), strs(&r.priorities)),
+            ("placement".into(), strs(&r.placement)),
+            ("wall_secs".into(), Json::Float(r.wall_secs)),
+            ("compute_cycles".into(), uints(&r.compute_cycles)),
+            ("sync_cycles".into(), uints(&r.sync_cycles)),
+            ("retired".into(), uints(&r.retired)),
+            ("interrupt_cycles".into(), uints(&r.interrupt_cycles)),
+            ("busy_cycles".into(), uints(&r.busy_cycles)),
+            ("spin_cycles".into(), uints(&r.spin_cycles)),
+            ("total_cycles".into(), Json::UInt(r.total_cycles)),
+            ("notes".into(), strs(&r.notes)),
+            ("timelines".into(), Json::Arr(timelines)),
+            ("comm".into(), Json::Arr(comm)),
+        ])
+        .render()
+    }
+
+    /// Strings that exercise every escape path of the codec.
+    const AWKWARD: [&str; 6] = [
+        "quote \" inside",
+        "back\\slash",
+        "new\nline\ttab\rreturn",
+        "ctl \u{1}\u{8}\u{c}\u{1f} del \u{7f}",
+        "non-ASCII: ünïcødé ✓ 🚀",
+        "",
+    ];
+
+    fn awkward_record() -> RunRecord {
+        let (case, result) = tiny_runs(&temp_runner(1, false)).remove(1);
+        let mut record = RunRecord::from_run(&case, &result, 1.0e-7);
+        record.case = AWKWARD[0].to_string();
+        record.notes = AWKWARD.iter().map(|s| s.to_string()).collect();
+        for (t, label) in record.timelines.iter_mut().zip(AWKWARD.iter().cycle()) {
+            t.label = label.to_string();
+        }
+        record
+    }
+
+    #[test]
+    fn to_json_matches_the_tree_rendering_for_every_paper_case() {
+        let runner = temp_runner(2, false);
+        let mut runs = tiny_runs(&runner);
+        let btmz = BtMzConfig::tiny();
+        runs.extend(runner.run_sweep(btmz_cases(), |_| btmz.programs()));
+        let siesta = SiestaConfig::tiny();
+        runs.extend(runner.run_sweep(siesta_cases(), |_| siesta.programs()));
+        assert_eq!(runs.len(), 12);
+        let mut records: Vec<RunRecord> = runs
+            .iter()
+            .map(|(case, result)| RunRecord::from_run(case, result, 0.123_456_789))
+            .collect();
+        records.push(awkward_record());
+        for record in &records {
+            let text = record.to_json();
+            assert_eq!(text, tree_json(record), "case {:?}", record.case);
+            assert_eq!(fnv1a(text.as_bytes()), fnv1a(tree_json(record).as_bytes()));
+        }
+    }
+
+    #[test]
+    fn escaped_labels_and_notes_round_trip() {
+        let record = awkward_record();
+        let back = RunRecord::from_json(&record.to_json()).unwrap();
+        assert_eq!(back, record);
+        assert_eq!(back.notes, AWKWARD);
+    }
+
+    /// The decoder on damaged input: every strict prefix of a real
+    /// paper-case record is an `Err`, and every single-byte flip in its
+    /// head is either an `Err`, the original record (a flip the format
+    /// cannot see), or a faithful decode of the flipped text (a digit or
+    /// letter that changed into another valid one) — never a panic.
+    #[test]
+    fn decoder_rejects_truncations_and_survives_byte_flips() {
+        let (case, result) = tiny_runs(&temp_runner(1, false)).remove(3);
+        let record = RunRecord::from_run(&case, &result, 0.0625);
+        let text = record.to_json();
+        for cut in 0..text.len() {
+            assert!(
+                RunRecord::from_json(&text[..cut]).is_err(),
+                "a {cut}-byte prefix of a {}-byte record decoded",
+                text.len()
+            );
+        }
+        let mut bytes = text.clone().into_bytes();
+        let mut decoded = 0;
+        for at in 0..bytes.len().min(512) {
+            for mask in [0x01, 0x02, 0x20, 0x80] {
+                bytes[at] ^= mask;
+                if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                    if let Ok(back) = RunRecord::from_json(flipped) {
+                        decoded += 1;
+                        assert!(
+                            back == record || back.to_json() == flipped,
+                            "flip {mask:#04x} at byte {at} decoded to a record that \
+                             re-encodes differently"
+                        );
+                    }
+                }
+                bytes[at] ^= mask;
+            }
+        }
+        assert!(decoded > 0, "some flips (digits) decode to valid records");
+    }
+
+    #[test]
+    fn other_schemas_are_recognized_from_the_leading_field_alone() {
+        // A future or past layout need not decode at all to be stale.
+        for text in [
+            r#"{"schema":4,"case":"A","timelines":[]}"#,
+            r#"{"schema":6,"#,
+            r#" { "schema" : 3 , ["garbage"#,
+        ] {
+            assert!(RunRecord::from_json(text).is_err());
+            assert!(
+                matches!(decode_current(text), Err(Reject::Stale(_))),
+                "{text:?}"
+            );
+        }
+        for text in ["", "{", r#"{"case":"A","schema":5}"#, r#"{"schema":"5"}"#] {
+            assert!(
+                matches!(decode_current(text), Err(Reject::Corrupt(_))),
+                "{text:?}"
+            );
+        }
+        let record = awkward_record();
+        assert_eq!(decode_current(&record.to_json()), Ok(record));
+    }
+
+    #[test]
+    fn failed_publish_leaves_no_tmp_file() {
+        let runner = temp_runner(1, true);
+        let cfg = MetBenchConfig::tiny();
+        let progs = cfg.programs();
+        let case = metbench_cases().remove(0);
+        let hash = config_hash(&case, &progs);
+        // A directory squatting on the record path makes the rename fail.
+        std::fs::create_dir_all(runner.record_path(hash)).unwrap();
+        let first = runner.run_case(&progs, &case);
+        assert_eq!(runner.run_case(&progs, &case), first);
+        assert_eq!(runner.stats().cache_hits, 0, "nothing was published");
+        let leftovers: Vec<_> = std::fs::read_dir(&runner.options().dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
+        assert!(runner.record_path(hash).is_dir());
+        let _ = std::fs::remove_dir_all(&runner.options().dir);
+    }
+
+    /// Changing any one input a simulation reads must change the key.
+    #[test]
+    fn config_keys_cover_every_field() {
+        fn work(instructions: u64) -> WorkSpec {
+            WorkSpec::new(
+                Workload::with_profile(
+                    "w",
+                    StreamSpec {
+                        fx: 1,
+                        fp: 2,
+                        ls: 3,
+                        br: 4,
+                        dep_dist: 5,
+                        working_set: 6,
+                        code_kb: 7,
+                        seed: 8,
+                    },
+                    WorkloadProfile {
+                        ipc_st: 1.5,
+                        unit_pressure: 0.25,
+                        mem_intensity: 0.5,
+                    },
+                ),
+                instructions,
+            )
+        }
+        fn base() -> Program {
+            Program::new(vec![
+                Stmt::Compute(work(100)),
+                Stmt::Send {
+                    to: 1,
+                    tag: 2,
+                    bytes: 3,
+                },
+                Stmt::Recv { from: 1, tag: 2 },
+                Stmt::Isend {
+                    to: 1,
+                    tag: 2,
+                    bytes: 3,
+                },
+                Stmt::Irecv { from: 1, tag: 2 },
+                Stmt::WaitAll,
+                Stmt::Barrier,
+                Stmt::AllReduce { bytes: 4 },
+                Stmt::Bcast { root: 0, bytes: 5 },
+                Stmt::Reduce { root: 0, bytes: 6 },
+                Stmt::Phase(TracePhase::Init),
+                Stmt::Loop {
+                    count: 2,
+                    body: vec![Stmt::DynCompute(Arc::new(|ctx| {
+                        work(10 + u64::from(ctx.iteration()))
+                    }))],
+                },
+            ])
+        }
+        fn ws(p: &mut Program) -> &mut WorkSpec {
+            match &mut p.body[0] {
+                Stmt::Compute(w) => w,
+                _ => unreachable!(),
+            }
+        }
+        fn ulp(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() + 1);
+        }
+        type Edit = fn(&mut Program);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("work.instructions", |p| ws(p).instructions += 1),
+            ("workload.name", |p| ws(p).workload.name.push('x')),
+            ("stream.fx", |p| ws(p).workload.stream.fx += 1),
+            ("stream.fp", |p| ws(p).workload.stream.fp += 1),
+            ("stream.ls", |p| ws(p).workload.stream.ls += 1),
+            ("stream.br", |p| ws(p).workload.stream.br += 1),
+            ("stream.dep_dist", |p| ws(p).workload.stream.dep_dist += 1),
+            ("stream.working_set", |p| {
+                ws(p).workload.stream.working_set += 1
+            }),
+            ("stream.code_kb", |p| ws(p).workload.stream.code_kb += 1),
+            ("stream.seed", |p| ws(p).workload.stream.seed += 1),
+            ("profile.ipc_st", |p| {
+                ulp(&mut ws(p).workload.profile.ipc_st)
+            }),
+            ("profile.unit_pressure", |p| {
+                ulp(&mut ws(p).workload.profile.unit_pressure)
+            }),
+            ("profile.mem_intensity", |p| {
+                ulp(&mut ws(p).workload.profile.mem_intensity)
+            }),
+            ("send.to", |p| {
+                p.body[1] = Stmt::Send {
+                    to: 0,
+                    tag: 2,
+                    bytes: 3,
+                }
+            }),
+            ("send.tag", |p| {
+                p.body[1] = Stmt::Send {
+                    to: 1,
+                    tag: 0,
+                    bytes: 3,
+                }
+            }),
+            ("send.bytes", |p| {
+                p.body[1] = Stmt::Send {
+                    to: 1,
+                    tag: 2,
+                    bytes: 0,
+                }
+            }),
+            ("recv.from", |p| p.body[2] = Stmt::Recv { from: 0, tag: 2 }),
+            ("recv.tag", |p| p.body[2] = Stmt::Recv { from: 1, tag: 0 }),
+            ("isend.to", |p| {
+                p.body[3] = Stmt::Isend {
+                    to: 0,
+                    tag: 2,
+                    bytes: 3,
+                }
+            }),
+            ("isend.tag", |p| {
+                p.body[3] = Stmt::Isend {
+                    to: 1,
+                    tag: 0,
+                    bytes: 3,
+                }
+            }),
+            ("isend.bytes", |p| {
+                p.body[3] = Stmt::Isend {
+                    to: 1,
+                    tag: 2,
+                    bytes: 0,
+                }
+            }),
+            ("irecv.from", |p| {
+                p.body[4] = Stmt::Irecv { from: 0, tag: 2 }
+            }),
+            ("irecv.tag", |p| p.body[4] = Stmt::Irecv { from: 1, tag: 0 }),
+            ("waitall->barrier", |p| p.body[5] = Stmt::Barrier),
+            ("barrier->waitall", |p| p.body[6] = Stmt::WaitAll),
+            ("allreduce.bytes", |p| {
+                p.body[7] = Stmt::AllReduce { bytes: 0 }
+            }),
+            ("bcast.root", |p| {
+                p.body[8] = Stmt::Bcast { root: 1, bytes: 5 }
+            }),
+            ("bcast.bytes", |p| {
+                p.body[8] = Stmt::Bcast { root: 0, bytes: 0 }
+            }),
+            ("bcast->reduce", |p| {
+                p.body[8] = Stmt::Reduce { root: 0, bytes: 5 }
+            }),
+            ("reduce.root", |p| {
+                p.body[9] = Stmt::Reduce { root: 1, bytes: 6 }
+            }),
+            ("reduce.bytes", |p| {
+                p.body[9] = Stmt::Reduce { root: 0, bytes: 0 }
+            }),
+            ("phase.body", |p| p.body[10] = Stmt::Phase(TracePhase::Body)),
+            ("phase.final", |p| {
+                p.body[10] = Stmt::Phase(TracePhase::Final)
+            }),
+            ("loop.count", |p| {
+                if let Stmt::Loop { count, .. } = &mut p.body[11] {
+                    *count += 1;
+                }
+            }),
+            ("dyn_compute.value", |p| {
+                if let Stmt::Loop { body, .. } = &mut p.body[11] {
+                    body[0] =
+                        Stmt::DynCompute(Arc::new(|ctx| work(11 + u64::from(ctx.iteration()))));
+                }
+            }),
+            ("name None->Some(\"\")", |p| p.name = Some(String::new())),
+        ];
+        let placement = metbench_cases().remove(0).placement;
+        let case = Case {
+            name: "K",
+            placement: placement.clone(),
+            priorities: Vec::new(),
+        };
+        let mut seen_case = HashMap::new();
+        let mut seen_static = HashMap::new();
+        let mut variants: Vec<(&str, Option<Edit>)> = vec![("base", None)];
+        variants.extend(edits.into_iter().map(|(name, edit)| (name, Some(edit))));
+        for (name, edit) in variants {
+            let mut programs = vec![base(), base()];
+            if let Some(edit) = edit {
+                edit(&mut programs[0]);
+            }
+            let keys = [
+                (config_hash(&case, &programs), &mut seen_case),
+                (
+                    config_hash_static(&StaticRun::new(&programs, placement.clone())),
+                    &mut seen_static,
+                ),
+            ];
+            for (hash, seen) in keys {
+                if let Some(other) = seen.insert(hash, name) {
+                    panic!("{name} collides with {other} ({hash:016x})");
+                }
+            }
+        }
+        // Keys are stable: the same configuration hashes the same.
+        assert!(seen_case.contains_key(&config_hash(&case, &[base(), base()])));
     }
 }

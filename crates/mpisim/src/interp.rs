@@ -72,69 +72,97 @@ pub enum FlatOp {
     Phase(TracePhase),
 }
 
-/// Flatten `program` for execution by `rank`.
-///
-/// Loops are unrolled with their induction variables resolved, and
-/// [`Stmt::DynCompute`] closures are evaluated with the concrete
-/// [`LoopCtx`]. The resulting op count is the dynamic statement count of
-/// the program; keep loop products moderate (≲10⁵).
-pub fn flatten(program: &Program, rank: Rank) -> Vec<FlatOp> {
-    let mut out = Vec::new();
-    let mut counters = Vec::new();
-    flatten_into(&program.body, rank, &mut counters, &mut out);
-    out
+/// A flattened op as [`for_each_op`] hands it out. Static compute work
+/// is borrowed from the program; every other op is built by value, which
+/// allocates nothing except for an evaluated [`Stmt::DynCompute`] load.
+#[derive(Debug)]
+pub enum OpRef<'a> {
+    /// A [`Stmt::Compute`] load, borrowed from the program.
+    Work(&'a WorkSpec),
+    /// Any other op, including an evaluated [`Stmt::DynCompute`] load.
+    Op(FlatOp),
 }
 
-fn flatten_into(body: &[Stmt], rank: Rank, counters: &mut Vec<u32>, out: &mut Vec<FlatOp>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Compute(w) => out.push(FlatOp::Compute(w.clone())),
-            Stmt::DynCompute(f) => {
-                let ctx = LoopCtx {
-                    rank,
-                    counters: counters.clone(),
-                };
-                out.push(FlatOp::Compute(f(&ctx)));
-            }
-            Stmt::Send { to, tag, bytes } => out.push(FlatOp::Send {
-                to: *to,
-                tag: *tag,
-                bytes: *bytes,
-            }),
-            Stmt::Recv { from, tag } => out.push(FlatOp::Recv {
-                from: *from,
-                tag: *tag,
-            }),
-            Stmt::Isend { to, tag, bytes } => out.push(FlatOp::Isend {
-                to: *to,
-                tag: *tag,
-                bytes: *bytes,
-            }),
-            Stmt::Irecv { from, tag } => out.push(FlatOp::Irecv {
-                from: *from,
-                tag: *tag,
-            }),
-            Stmt::WaitAll => out.push(FlatOp::WaitAll),
-            Stmt::Barrier => out.push(FlatOp::Barrier),
-            Stmt::AllReduce { bytes } => out.push(FlatOp::AllReduce { bytes: *bytes }),
-            Stmt::Bcast { root, bytes } => out.push(FlatOp::Bcast {
-                root: *root,
-                bytes: *bytes,
-            }),
-            Stmt::Reduce { root, bytes } => out.push(FlatOp::Reduce {
-                root: *root,
-                bytes: *bytes,
-            }),
-            Stmt::Loop { count, body } => {
-                for i in 0..*count {
-                    counters.push(i);
-                    flatten_into(body, rank, counters, out);
-                    counters.pop();
-                }
-            }
-            Stmt::Phase(p) => out.push(FlatOp::Phase(*p)),
+impl OpRef<'_> {
+    /// The owned [`FlatOp`] this view stands for.
+    pub fn into_owned(self) -> FlatOp {
+        match self {
+            OpRef::Work(w) => FlatOp::Compute(w.clone()),
+            OpRef::Op(op) => op,
         }
     }
+}
+
+/// Walk the flattened op stream of `program` as executed by `rank`,
+/// without materializing it: loops are unrolled with their induction
+/// variables resolved, and [`Stmt::DynCompute`] closures are evaluated
+/// with the concrete [`LoopCtx`]. Calls `f` once per op, in order.
+pub fn for_each_op<'a>(program: &'a Program, rank: Rank, mut f: impl FnMut(OpRef<'a>)) {
+    let mut ctx = LoopCtx {
+        rank,
+        counters: Vec::new(),
+    };
+    walk(&program.body, &mut ctx, &mut f);
+}
+
+fn walk<'a>(body: &'a [Stmt], ctx: &mut LoopCtx, f: &mut impl FnMut(OpRef<'a>)) {
+    for stmt in body {
+        let op = match stmt {
+            Stmt::Compute(w) => {
+                f(OpRef::Work(w));
+                continue;
+            }
+            Stmt::DynCompute(load) => FlatOp::Compute(load(ctx)),
+            Stmt::Send { to, tag, bytes } => FlatOp::Send {
+                to: *to,
+                tag: *tag,
+                bytes: *bytes,
+            },
+            Stmt::Recv { from, tag } => FlatOp::Recv {
+                from: *from,
+                tag: *tag,
+            },
+            Stmt::Isend { to, tag, bytes } => FlatOp::Isend {
+                to: *to,
+                tag: *tag,
+                bytes: *bytes,
+            },
+            Stmt::Irecv { from, tag } => FlatOp::Irecv {
+                from: *from,
+                tag: *tag,
+            },
+            Stmt::WaitAll => FlatOp::WaitAll,
+            Stmt::Barrier => FlatOp::Barrier,
+            Stmt::AllReduce { bytes } => FlatOp::AllReduce { bytes: *bytes },
+            Stmt::Bcast { root, bytes } => FlatOp::Bcast {
+                root: *root,
+                bytes: *bytes,
+            },
+            Stmt::Reduce { root, bytes } => FlatOp::Reduce {
+                root: *root,
+                bytes: *bytes,
+            },
+            Stmt::Loop { count, body } => {
+                for i in 0..*count {
+                    ctx.counters.push(i);
+                    walk(body, ctx, f);
+                    ctx.counters.pop();
+                }
+                continue;
+            }
+            Stmt::Phase(p) => FlatOp::Phase(*p),
+        };
+        f(OpRef::Op(op));
+    }
+}
+
+/// Flatten `program` for execution by `rank` into a linear op sequence
+/// ([`for_each_op`], collected). The resulting op count is the dynamic
+/// statement count of the program; keep loop products moderate (≲10⁵).
+pub fn flatten(program: &Program, rank: Rank) -> Vec<FlatOp> {
+    let mut out = Vec::new();
+    for_each_op(program, rank, |op| out.push(op.into_owned()));
+    out
 }
 
 /// One segment of the structural path from a program's root to a
@@ -417,6 +445,30 @@ mod tests {
             }
         );
         assert_eq!(count_sync_epochs(&ops), 2);
+    }
+
+    #[test]
+    fn for_each_op_borrows_static_work_and_evaluates_dynamic_loads() {
+        let p = ProgramBuilder::new()
+            .compute(WorkSpec::new(w(), 5))
+            .repeat(2, |b| {
+                b.dyn_compute(|ctx| WorkSpec::new(w(), u64::from(ctx.iteration()) + 1))
+                    .barrier()
+            })
+            .build();
+        let Stmt::Compute(first) = &p.body[0] else {
+            panic!("program starts with a static load")
+        };
+        let mut seen = Vec::new();
+        for_each_op(&p, 3, |op| {
+            if let OpRef::Work(w) = op {
+                assert!(std::ptr::eq(w, first), "static work is borrowed");
+            }
+            seen.push(op.into_owned());
+        });
+        assert_eq!(seen, flatten(&p, 3));
+        assert_eq!(seen.len(), 5);
+        assert!(matches!(&seen[3], FlatOp::Compute(ws) if ws.instructions == 2));
     }
 
     #[test]

@@ -6,11 +6,21 @@
 //! objects, arrays, strings, booleans, null, unsigned integers and
 //! finite floats.
 //!
+//! Two ways in and out:
+//!
+//! * the [`Json`] tree — [`Json::render`] / [`Json::parse`] — for
+//!   documents whose shape is only known at run time;
+//! * the streaming pieces — [`write_string`], [`write_u64`],
+//!   [`write_f64`] and the pull [`Reader`] — for hot fixed-shape
+//!   documents, which render straight into a `String` and decode straight
+//!   into the caller's types in one pass, with no tree in between. Both
+//!   sides produce and accept exactly the bytes the tree does.
+//!
 //! Losslessness contract: `u64` values round-trip exactly (they are
-//! written as bare integers and re-parsed with `u64::from_str`), and
-//! finite `f64` values round-trip exactly (written with Rust's
-//! shortest-round-trip `{:?}` formatting, re-parsed with
-//! `f64::from_str`). Non-finite floats are rejected at write time.
+//! written as bare integers and re-parsed as integers), and finite `f64`
+//! values round-trip exactly (written with Rust's shortest-round-trip
+//! `{:?}` formatting, re-parsed with `f64::from_str`). Non-finite floats
+//! are rejected at write time.
 
 use std::fmt::Write as _;
 
@@ -90,16 +100,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Float(x) => {
-                assert!(x.is_finite(), "JSON cannot encode {x}");
-                // `{:?}` is Rust's shortest representation that parses
-                // back to the same bits.
-                let _ = write!(out, "{x:?}");
-            }
-            Json::Str(s) => render_string(s, out),
+            Json::UInt(n) => write_u64(out, *n),
+            Json::Float(x) => write_f64(out, *x),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -116,7 +119,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    write_string(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -127,52 +130,117 @@ impl Json {
 
     /// Parse JSON text. Rejects trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
+        let mut r = Reader::new(text);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy unescaped runs whole; every escaped byte is ASCII, so run
+    // boundaries always fall on char boundaries.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append an unsigned integer.
+pub fn write_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Append a finite float in its shortest round-trip form.
+///
+/// # Panics
+/// Panics on non-finite floats — JSON cannot represent them.
+pub fn write_f64(out: &mut String, x: f64) {
+    assert!(x.is_finite(), "JSON cannot encode {x}");
+    // `{:?}` is Rust's shortest representation that parses back to the
+    // same bits.
+    let _ = write!(out, "{x:?}");
+}
+
+/// A cursor-style pull reader over JSON text.
+///
+/// The caller walks the document in order — [`Reader::begin_object`],
+/// [`Reader::field`] for each expected key, [`Reader::begin_array`] with
+/// [`Reader::next_item`], and the scalar reads — and decodes values
+/// straight into its own types. A document that deviates from the shape
+/// the caller expects (another key, another order, a missing comma, a
+/// truncation, a non-integer where an integer belongs) is an `Err` naming
+/// the byte offset, never a panic. [`Reader::value`] reads whatever node
+/// comes next as a [`Json`] tree, which is how [`Json::parse`] works.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Whether the innermost open container has no element yet, so the
+    /// next one takes no separating comma.
+    first: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            first: true,
+        }
+    }
+
+    /// The current byte offset.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn err(&self, what: &str) -> String {
+        format!(
+            "{what} at byte {}, found {:?}",
+            self.pos,
+            self.peek().map(|c| c as char)
+        )
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -180,17 +248,241 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+            Err(self.err(&format!("expected {:?}", b as char)))
         }
     }
 
+    /// The separator before a container's next element.
+    fn separator(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if !self.first {
+            self.expect(b',')?;
+            self.skip_ws();
+        }
+        self.first = false;
+        Ok(())
+    }
+
+    /// Enter an object.
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b'{')?;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Read the next key of the current object, which must be `name`, and
+    /// its colon; the value is read next.
+    pub fn field(&mut self, name: &str) -> Result<(), String> {
+        self.separator()?;
+        let rest = &self.text.as_bytes()[self.pos..];
+        let matches = rest.len() > name.len() + 1
+            && rest[0] == b'"'
+            && rest[1..].starts_with(name.as_bytes())
+            && rest[name.len() + 1] == b'"';
+        if !matches {
+            return Err(self.err(&format!("expected key {name:?}")));
+        }
+        self.pos += name.len() + 2;
+        self.skip_ws();
+        self.expect(b':')
+    }
+
+    /// Read the next key of the current object and its colon, or close
+    /// the object and return `None`.
+    pub fn next_key(&mut self) -> Result<Option<String>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.first = false;
+            return Ok(None);
+        }
+        self.separator()?;
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Leave the current object, which must have no keys left.
+    pub fn end_object(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b'}')?;
+        self.first = false;
+        Ok(())
+    }
+
+    /// Enter an array.
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b'[')?;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Position at the current array's next element and return `true`,
+    /// or close the array and return `false`.
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.first = false;
+            return Ok(false);
+        }
+        self.separator()?;
+        Ok(true)
+    }
+
+    /// The raw token of a number.
+    fn number_token(&mut self) -> &'a str {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
+    }
+
+    /// Read an unsigned integer: bare digits without leading zeros, as
+    /// [`write_u64`] writes them.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.skip_ws();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // Up to 19 digits cannot overflow; only a 20th needs checking.
+        let mut n = 0u64;
+        while let Some(&d @ b'0'..=b'9') = bytes.get(self.pos) {
+            if self.pos - start == 19 {
+                break;
+            }
+            n = n * 10 + u64::from(d - b'0');
+            self.pos += 1;
+        }
+        let mut n = Some(n);
+        while let Some(&d @ b'0'..=b'9') = bytes.get(self.pos) {
+            n = n
+                .and_then(|n| n.checked_mul(10))
+                .and_then(|n| n.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        let digits = self.pos - start;
+        let canonical = (digits == 1 || (digits > 1 && bytes[start] != b'0'))
+            && !matches!(bytes.get(self.pos), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
+        match n {
+            Some(n) if canonical => Ok(n),
+            _ => {
+                self.pos = start;
+                let tok = self.number_token();
+                Err(format!(
+                    "expected an unsigned integer at byte {start}, found {tok:?}"
+                ))
+            }
+        }
+    }
+
+    /// Read a finite number as `f64` (integers coerce).
+    pub fn f64(&mut self) -> Result<f64, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let tok = self.number_token();
+        tok.parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("expected a finite number at byte {start}, found {tok:?}"))
+    }
+
+    /// Read a string, resolving escapes.
+    pub fn string(&mut self) -> Result<String, String> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let bytes = self.text.as_bytes();
+        let mut out = String::new();
+        // Unescaped runs are copied whole; they start and end next to
+        // ASCII bytes, so they are always valid `str` slices.
+        let mut run = self.pos;
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    out.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    let c = match bytes.get(self.pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            self.pos += 4;
+                            char::from_u32(code).ok_or(format!("bad \\u escape {code:#x}"))?
+                        }
+                        _ => return Err(self.err("bad escape")),
+                    };
+                    out.push(c);
+                    self.pos += 1;
+                    run = self.pos;
+                }
+                Some(0..=0x1f) => return Err(self.err("unescaped control character")),
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// Read an array of unsigned integers.
+    pub fn u64_array(&mut self) -> Result<Vec<u64>, String> {
+        let mut out = Vec::new();
+        self.begin_array()?;
+        while self.next_item()? {
+            out.push(self.u64()?);
+        }
+        Ok(out)
+    }
+
+    /// Read an array of exactly `N` unsigned integers.
+    pub fn u64_tuple<const N: usize>(&mut self) -> Result<[u64; N], String> {
+        let mut out = [0; N];
+        self.begin_array()?;
+        for slot in &mut out {
+            if !self.next_item()? {
+                return Err(self.err(&format!("expected {N} integers")));
+            }
+            *slot = self.u64()?;
+        }
+        if self.next_item()? {
+            return Err(self.err(&format!("expected ']' after {N} integers")));
+        }
+        Ok(out)
+    }
+
+    /// Read an array of strings.
+    pub fn string_array(&mut self) -> Result<Vec<String>, String> {
+        let mut out = Vec::new();
+        self.begin_array()?;
+        while self.next_item()? {
+            out.push(self.string()?);
+        }
+        Ok(out)
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -198,154 +490,53 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Read the next node, whatever it is, as a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E') | Some(b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        if !tok.contains(['.', 'e', 'E', '-', '+']) {
-            if let Ok(n) = tok.parse::<u64>() {
-                return Ok(Json::UInt(n));
-            }
-        }
-        tok.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|e| format!("bad number {tok:?} at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.begin_array()?;
+                while self.next_item()? {
+                    items.push(self.value()?);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(
-                                char::from_u32(code).ok_or(format!("bad \\u escape {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.begin_object()?;
+                while let Some(key) = self.next_key()? {
+                    fields.push((key, self.value()?));
+                }
+                Ok(Json::Obj(fields))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let start = self.pos;
+                let tok = self.number_token();
+                if !tok.contains(['.', 'e', 'E', '-', '+']) {
+                    if let Ok(n) = tok.parse::<u64>() {
+                        return Ok(Json::UInt(n));
                     }
-                    self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                tok.parse::<f64>()
+                    .map(Json::Float)
+                    .map_err(|e| format!("bad number {tok:?} at byte {start}: {e}"))
             }
+            _ => Err(self.err("unexpected value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Require that only whitespace is left.
+    pub fn finish(mut self) -> Result<(), String> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
         }
     }
 }
@@ -424,6 +615,103 @@ mod tests {
             "{\"a\":}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+    #[test]
+    fn reader_walks_a_fixed_shape_in_order() {
+        let text = r#" {"n": 7, "x": 0.5, "s": "a\"b", "v": [1, 2], "t": [[3,4]], "e": []} "#;
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        r.field("n").unwrap();
+        assert_eq!(r.u64().unwrap(), 7);
+        r.field("x").unwrap();
+        assert_eq!(r.f64().unwrap(), 0.5);
+        r.field("s").unwrap();
+        assert_eq!(r.string().unwrap(), "a\"b");
+        r.field("v").unwrap();
+        assert_eq!(r.u64_array().unwrap(), vec![1, 2]);
+        r.field("t").unwrap();
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.u64_tuple::<2>().unwrap(), [3, 4]);
+        assert!(!r.next_item().unwrap());
+        r.field("e").unwrap();
+        assert!(r.string_array().unwrap().is_empty());
+        r.end_object().unwrap();
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_rejects_shape_deviations() {
+        let read = |text: &str| -> Result<(u64, u64), String> {
+            let mut r = Reader::new(text);
+            r.begin_object()?;
+            r.field("a")?;
+            let a = r.u64()?;
+            r.field("b")?;
+            let b = r.u64_tuple::<1>()?[0];
+            r.end_object()?;
+            r.finish()?;
+            Ok((a, b))
+        };
+        assert_eq!(read(r#"{"a":1,"b":[2]}"#), Ok((1, 2)));
+        for bad in [
+            r#"{"b":[2],"a":1}"#,
+            r#"{"a":1 "b":[2]}"#,
+            r#"{"a":1,"b":[2],}"#,
+            r#"{,"a":1,"b":[2]}"#,
+            r#"{"a":1.0,"b":[2]}"#,
+            r#"{"a":-1,"b":[2]}"#,
+            r#"{"a":01,"b":[2]}"#,
+            r#"{"a":18446744073709551616,"b":[2]}"#,
+            r#"{"a":1,"b":[2,3]}"#,
+            r#"{"a":1,"b":[]}"#,
+            r#"{"a":1,"b":[,2]}"#,
+            r#"{"ab":1,"b":[2]}"#,
+            r#"{"a":1,"b":[2]}x"#,
+            r#"{"a":1,"b":[2"#,
+            r#"{"a"#,
+            "",
+        ] {
+            assert!(read(bad).is_err(), "{bad:?} should fail");
+        }
+        assert!(
+            Reader::new("1e999").f64().is_err(),
+            "non-finite is rejected"
+        );
+        assert!(
+            Reader::new("\"a\u{1}b\"").string().is_err(),
+            "control characters must be escaped"
+        );
+        assert_eq!(Reader::new("3").f64(), Ok(3.0), "integers coerce");
+    }
+
+    #[test]
+    fn streaming_writers_match_the_tree() {
+        for s in ["", "plain", "q\"b\\n\nt\tr\r\u{1}\u{1f}\u{7f}", "ß∂ ✓"] {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            // The per-char escaper the run-copying writer replaced.
+            let mut want = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => want.push_str("\\\""),
+                    '\\' => want.push_str("\\\\"),
+                    '\n' => want.push_str("\\n"),
+                    '\t' => want.push_str("\\t"),
+                    '\r' => want.push_str("\\r"),
+                    c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => want.push(c),
+                }
+            }
+            want.push('"');
+            assert_eq!(out, want);
+            assert_eq!(Reader::new(&out).string().unwrap(), s);
+        }
+        for n in [0, 7, 10, 1 << 53, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, n);
+            assert_eq!(out, n.to_string());
         }
     }
 }
