@@ -355,6 +355,8 @@ pub fn execute_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtb_oskernel::NoiseError;
+    use mtb_workloads::metbench::MetBenchConfig;
     use mtb_workloads::synthetic::SyntheticConfig;
 
     #[test]
@@ -468,5 +470,60 @@ mod tests {
                 .with_priorities(vec![PrioritySetting::ProcFs(6)]),
         );
         assert!(res.is_err(), "procfs needs the patch");
+    }
+
+    /// MetBench tiny under a valid timer tick (entry 0) plus `bad`
+    /// (entry 1).
+    fn run_with_bad_noise(bad: NoiseSource) -> Result<RunResult, BalanceError> {
+        let cfg = MetBenchConfig::tiny();
+        let progs = cfg.programs();
+        let tick = NoiseSource::timer(CtxAddr::from_cpu(0), 10_000, 100);
+        execute(StaticRun::new(&progs, cfg.placement()).with_noise(vec![tick, bad]))
+    }
+
+    #[test]
+    fn noise_on_a_missing_core_is_a_typed_error() {
+        let bad = NoiseSource::timer(CtxAddr::from_cpu(8), 10_000, 100);
+        assert!(matches!(
+            run_with_bad_noise(bad),
+            Err(BalanceError::Sim(SimError::InvalidNoise {
+                index: 1,
+                reason: NoiseError::TargetOutOfRange { core: 4, .. },
+            }))
+        ));
+    }
+
+    #[test]
+    fn zero_period_noise_is_a_typed_error() {
+        let bad = NoiseSource {
+            period: 0,
+            cost: 0,
+            ..NoiseSource::timer(CtxAddr::from_cpu(1), 10_000, 100)
+        };
+        assert!(matches!(
+            run_with_bad_noise(bad),
+            Err(BalanceError::Sim(SimError::InvalidNoise {
+                index: 1,
+                reason: NoiseError::CostFillsPeriod { cost: 0, period: 0 },
+            }))
+        ));
+    }
+
+    #[test]
+    fn noise_filling_its_period_is_a_typed_error() {
+        let bad = NoiseSource {
+            cost: 10_000,
+            ..NoiseSource::timer(CtxAddr::from_cpu(1), 10_000, 100)
+        };
+        assert!(matches!(
+            run_with_bad_noise(bad),
+            Err(BalanceError::Sim(SimError::InvalidNoise {
+                index: 1,
+                reason: NoiseError::CostFillsPeriod {
+                    cost: 10_000,
+                    period: 10_000,
+                },
+            }))
+        ));
     }
 }

@@ -28,8 +28,8 @@ use crate::comm::{CommRankState, CommState, LatencyModel, Message};
 use crate::interp::{collective_signature, flatten, FlatOp};
 use crate::program::{Program, Rank, TracePhase};
 use mtb_oskernel::{
-    CtxAddr, KernelConfig, Machine, MachineError, MachineState, NoiseSource, Segmentation,
-    Topology, WaitPolicy,
+    CtxAddr, KernelConfig, Machine, MachineError, MachineState, NoiseError, NoiseSource,
+    Segmentation, Topology, WaitPolicy,
 };
 use mtb_smtsim::chip::{build_cores_grouped, Fidelity};
 use mtb_trace::paraver::CommEvent;
@@ -128,6 +128,15 @@ pub enum SimError {
     /// mismatch (different core count, fidelity, rank count, program
     /// length) or internally inconsistent snapshot data.
     Restore(String),
+    /// A [`SimConfig::noise`] entry cannot be simulated (its target core
+    /// does not exist, or a periodic source's cost does not fit in its
+    /// period).
+    InvalidNoise {
+        /// Index of the offending entry in [`SimConfig::noise`].
+        index: usize,
+        /// What is wrong with it.
+        reason: NoiseError,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -187,6 +196,9 @@ impl fmt::Display for SimError {
                 write!(f, "simulation exceeded max_cycles ({limit}); livelock?")
             }
             SimError::Restore(why) => write!(f, "cannot restore checkpoint: {why}"),
+            SimError::InvalidNoise { index, reason } => {
+                write!(f, "invalid noise source {index}: {reason}")
+            }
         }
     }
 }
@@ -195,6 +207,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Placement { source, .. } => Some(source),
+            SimError::InvalidNoise { reason, .. } => Some(reason),
             _ => None,
         }
     }
@@ -530,6 +543,10 @@ pub struct Engine {
     /// not yet dispatched. Kept in ascending rank order per batch so
     /// dispatch order matches the historical full rescan.
     ready: Vec<Rank>,
+    /// The other half of [`Engine::dispatch_ready`]'s double buffer:
+    /// empty between calls and not part of [`EngineState`], kept only so
+    /// its capacity survives from one event to the next.
+    ready_spare: Vec<Rank>,
     phase: Vec<TracePhase>,
     comm: CommState,
     epochs: SyncEpochs,
@@ -581,8 +598,10 @@ impl Engine {
         machine.set_parallelism(cfg.threads);
         machine.set_segmentation(cfg.segmentation);
         machine.set_wait_policy(cfg.wait_policy);
-        for src in cfg.noise {
-            machine.add_noise(src);
+        for (index, src) in cfg.noise.into_iter().enumerate() {
+            machine
+                .try_add_noise(src)
+                .map_err(|reason| SimError::InvalidNoise { index, reason })?;
         }
         let mut builders = Vec::with_capacity(n);
         let mut ops = Vec::with_capacity(n);
@@ -665,6 +684,7 @@ impl Engine {
             pc: vec![0; n],
             state: vec![RankState::Ready; n],
             ready: (0..n).collect(),
+            ready_spare: Vec::with_capacity(n),
             phase: vec![TracePhase::Body; n],
             comm: CommState::new(n),
             epochs: SyncEpochs::new(n),
@@ -952,10 +972,10 @@ impl Engine {
     /// `n_ranks` rescan per pass. `resolve_completions` pushes in
     /// ascending rank order, so dispatch order matches the old rescan.
     fn dispatch_ready(&mut self, observer: &mut dyn Observer) {
-        let mut batch: Vec<Rank> = Vec::new();
+        let mut batch = std::mem::take(&mut self.ready_spare);
         while !self.ready.is_empty() {
             // Double-buffer so both vectors keep their capacity across
-            // batches.
+            // batches and calls.
             std::mem::swap(&mut batch, &mut self.ready);
             for rank in batch.drain(..) {
                 // A rank can be re-queued only after being dispatched, so
@@ -967,6 +987,7 @@ impl Engine {
             // Epoch releases that happened exactly now unblock waiters.
             self.resolve_completions();
         }
+        self.ready_spare = batch;
     }
 
     fn dispatch_one(&mut self, rank: Rank, observer: &mut dyn Observer) {

@@ -31,7 +31,7 @@ pub use kernel::{KernelConfig, KernelFlavour};
 pub use machine::{
     CtxSnapshot, Machine, MachineError, MachineState, Segmentation, WaitPolicy, SHARD_COLLAPSE_CODE,
 };
-pub use noise::{BoundaryCalendar, NoiseCursor, NoiseSource};
+pub use noise::{BoundaryCalendar, NoiseCursor, NoiseError, NoiseSource};
 pub use priority_iface::{PriorityError, SetVia};
 pub use process::{CtxAddr, Pcb};
 pub use topology::Topology;

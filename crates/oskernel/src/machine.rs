@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use crate::kernel::KernelConfig;
-use crate::noise::{BoundaryCalendar, NoiseSource};
+use crate::noise::{BoundaryCalendar, NoiseError, NoiseSource};
 use crate::priority_iface::{validate, PriorityError, SetVia};
 use crate::process::{CtxAddr, Pcb, ProcRunState};
 use mtb_pool::ShardedRunner;
@@ -213,6 +213,17 @@ pub struct Machine {
     segmentation: Segmentation,
     /// Reused per-context accounting buffer for [`Machine::advance`].
     acct_scratch: Vec<[CtxAcct; 2]>,
+    /// Shard fence posts from [`Machine::shard_plan`], computed once in
+    /// [`Machine::new`]: the plan depends only on the cores' share groups,
+    /// which are fixed at construction (`restore_state` writes core
+    /// state, not L2 domains).
+    shard_bounds: Vec<usize>,
+    /// Did a non-contiguous share-group layout collapse the plan to one
+    /// shard?
+    shard_collapsed: bool,
+    /// The MPI busy-wait loop ([`spin_workload`]), built once and cloned
+    /// into every wait.
+    spin: Workload,
 }
 
 /// The stable diagnostic code emitted when a non-contiguous share-group
@@ -226,6 +237,7 @@ impl Machine {
     /// Build a machine over the given cores and kernel.
     pub fn new(cores: Vec<Box<dyn CoreModel>>, kernel: KernelConfig) -> Machine {
         let n = cores.len();
+        let (shard_bounds, shard_collapsed) = Self::shard_plan(&cores);
         let mut m = Machine {
             cores,
             kernel,
@@ -241,6 +253,9 @@ impl Machine {
             runner: None,
             segmentation: Segmentation::default(),
             acct_scratch: Vec::with_capacity(n),
+            shard_bounds,
+            shard_collapsed,
+            spin: spin_workload(),
         };
         // Idle contexts start at the kernel's idle priority so they donate
         // their decode bandwidth (Section VI-A case 3).
@@ -280,14 +295,36 @@ impl Machine {
         self.cores.len() * 2
     }
 
-    /// Register a noise source.
-    pub fn add_noise(&mut self, src: NoiseSource) {
-        assert!(
-            src.target.core < self.cores.len(),
-            "noise target out of range"
-        );
+    /// Register a noise source, or say why it cannot be simulated: its
+    /// target core must exist, and a periodic source's cost must fit in
+    /// its period (a one-shot source never consults its period).
+    pub fn try_add_noise(&mut self, src: NoiseSource) -> Result<(), NoiseError> {
+        let cores = self.cores.len();
+        if src.target.core >= cores {
+            return Err(NoiseError::TargetOutOfRange {
+                core: src.target.core,
+                cores,
+            });
+        }
+        if !src.one_shot && src.cost >= src.period {
+            return Err(NoiseError::CostFillsPeriod {
+                cost: src.cost,
+                period: src.period,
+            });
+        }
         self.noise_index[src.target.core].push(self.noise.len() as u32);
         self.noise.push(src);
+        Ok(())
+    }
+
+    /// Register a noise source. Panicking wrapper around
+    /// [`Machine::try_add_noise`].
+    ///
+    /// # Panics
+    /// Panics (with the [`NoiseError`] display text) on a source
+    /// [`Machine::try_add_noise`] refuses.
+    pub fn add_noise(&mut self, src: NoiseSource) {
+        self.try_add_noise(src).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Choose how [`Machine::advance`] segments epochs (see
@@ -402,7 +439,7 @@ impl Machine {
         match self.wait_policy {
             WaitPolicy::SpinOwn => self.spin(pid),
             WaitPolicy::SpinAt(level) => {
-                self.install(pid, spin_workload(), false)?;
+                self.install(pid, self.spin.clone(), false)?;
                 // Drop the *hardware* priority for the wait without
                 // touching the PCB's configured wish (the next
                 // run_workload re-applies the wish). The MPI library runs
@@ -430,7 +467,7 @@ impl Machine {
     /// retired instructions count toward the process's progress. This is
     /// how MPICH blocking calls behave without kernel assistance.
     pub fn spin(&mut self, pid: usize) -> Result<(), MachineError> {
-        self.install(pid, spin_workload(), false)
+        self.install(pid, self.spin.clone(), false)
     }
 
     fn install(&mut self, pid: usize, w: Workload, counting: bool) -> Result<(), MachineError> {
@@ -616,14 +653,14 @@ impl Machine {
     /// plan depends only on the core topology — never on the thread
     /// count — so the result is bit-identical at any parallelism,
     /// including the sequential path (which steps the same shards in
-    /// index order). With a runner attached ([`Machine::set_parallelism`])
-    /// the whole epoch costs one dispatch and one merge wait, however
-    /// many noise segments it contains.
+    /// index order). The plan is computed once, in [`Machine::new`]. With
+    /// a runner attached ([`Machine::set_parallelism`]) the whole epoch
+    /// costs one dispatch and one merge wait, however many noise segments
+    /// it contains; without one, a noise-free epoch allocates nothing.
     pub fn advance(&mut self, dt: Cycles) {
         let start = self.now;
         let end = start + dt;
         let mode = self.segmentation;
-        let (bounds, _) = Self::shard_plan(&self.cores);
         let Machine {
             cores,
             kernel,
@@ -634,6 +671,7 @@ impl Machine {
             noise_index,
             runner,
             acct_scratch,
+            shard_bounds: bounds,
             ..
         } = self;
         acct_scratch.clear();
@@ -727,7 +765,8 @@ impl Machine {
     /// grouping consecutive cores of the same share group, plus whether a
     /// non-contiguous share group forced a collapse to one machine-wide
     /// shard (correctness over speed). The plan depends only on the core
-    /// topology, never on the thread count.
+    /// topology, never on the thread count, so [`Machine::new`] computes
+    /// it once and [`Machine::advance`] reads the stored copy.
     fn shard_plan(cores: &[Box<dyn CoreModel>]) -> (Vec<usize>, bool) {
         let mut bounds = vec![0];
         let mut seen: Vec<usize> = Vec::new();
@@ -755,7 +794,7 @@ impl Machine {
     /// nothing. A property of the core topology alone — independent of
     /// whether a runner is attached or how many threads it has.
     pub fn sharding_degraded(&self) -> bool {
-        Self::shard_plan(&self.cores).1
+        self.shard_collapsed
     }
 
     /// Structured notes about this machine's runtime configuration,

@@ -10,6 +10,43 @@
 use crate::process::CtxAddr;
 use mtb_trace::Cycles;
 
+/// Why [`crate::Machine::try_add_noise`] refused a noise source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoiseError {
+    /// The source targets a core the machine does not have.
+    TargetOutOfRange {
+        /// The targeted core.
+        core: usize,
+        /// Cores on the machine.
+        cores: usize,
+    },
+    /// A periodic source whose window does not fit in its period
+    /// (`cost >= period`, which includes every `period == 0`). A zero
+    /// period has no next boundary; a full one keeps its context in the
+    /// handler forever.
+    CostFillsPeriod {
+        /// Cycles consumed per activation.
+        cost: Cycles,
+        /// Period between activations.
+        period: Cycles,
+    },
+}
+
+impl std::fmt::Display for NoiseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NoiseError::TargetOutOfRange { core, cores } => {
+                write!(f, "noise target core {core} out of range ({cores} cores)")
+            }
+            NoiseError::CostFillsPeriod { cost, period } => {
+                write!(f, "noise cost {cost} does not fit in the period {period}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for NoiseError {}
+
 /// A periodic cycle thief pinned to one hardware context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoiseSource {

@@ -29,6 +29,8 @@
 //! which is what the paper's measured MetBench Case C/D exec times imply
 //! (see DESIGN.md §5).
 
+use std::cell::Cell;
+
 use crate::decode::{decode_share, decode_share_linear};
 use crate::model::{CoreModel, ThreadId, Workload};
 use crate::priority::HwPriority;
@@ -128,6 +130,15 @@ impl MesoCtx {
     }
 }
 
+/// A completion time [`CoreModel::cycles_to_retire`] already answered: the
+/// whole-progress target (relative to the anchor) it was asked for and
+/// the absolute cycle at which the context first reaches it.
+#[derive(Debug, Clone, Copy)]
+struct Promise {
+    target: u64,
+    at: Cycles,
+}
+
 /// The fast analytic 2-way SMT core.
 ///
 /// ```
@@ -150,9 +161,17 @@ pub struct MesoCore {
     cfg: MesoConfig,
     ctx: [MesoCtx; 2],
     cycle: Cycles,
-    /// Cached per-context rates; recomputed when configuration changes.
-    rates: [f64; 2],
-    dirty: bool,
+    /// Per-context rates under the current configuration, filled by the
+    /// first call that needs them ([`MesoCore::rates`]) and emptied by
+    /// every configuration change. Exact: the rates are a pure function of
+    /// the configuration.
+    rates: Cell<Option<[f64; 2]>>,
+    /// Per-context completion memo of [`CoreModel::cycles_to_retire`],
+    /// emptied by every configuration change and by `restore_state`.
+    /// Exact: under a fixed anchor `progress_at` never decreases in
+    /// absolute time, so the first cycle after `now` that reaches a target
+    /// stays the same while `now` is before it.
+    promised: [Cell<Option<Promise>>; 2],
 }
 
 impl MesoCore {
@@ -162,8 +181,8 @@ impl MesoCore {
             cfg,
             ctx: [MesoCtx::new(), MesoCtx::new()],
             cycle: 0,
-            rates: [0.0; 2],
-            dirty: true,
+            rates: Cell::new(None),
+            promised: Default::default(),
         }
     }
 
@@ -263,11 +282,20 @@ impl MesoCore {
         }
     }
 
-    fn refresh(&mut self) {
-        if self.dirty {
-            self.rates = self.throughputs();
-            self.dirty = false;
-        }
+    /// [`MesoCore::throughputs`] under the current configuration, through
+    /// the rate cache.
+    fn rates(&self) -> [f64; 2] {
+        self.rates.get().unwrap_or_else(|| {
+            let r = self.throughputs();
+            self.rates.set(Some(r));
+            r
+        })
+    }
+
+    /// Drop both caches after a configuration change.
+    fn invalidate(&mut self) {
+        self.rates.set(None);
+        self.promised = Default::default();
     }
 
     /// Materialize both contexts' progress under the rates in force since
@@ -276,9 +304,16 @@ impl MesoCore {
     /// expression is a pure function of absolute time, which is what makes
     /// `advance` segmentation-invariant.
     fn reanchor(&mut self) {
-        self.refresh();
+        // With no cycle elapsed since the anchor, `progress_at` adds
+        // `rate * 0.0 == 0.0` for any finite, non-negative rate, so the
+        // rates of the outgoing configuration are not needed.
+        let rates = if self.ctx.iter().all(|c| c.anchor_cycle == self.cycle) {
+            [0.0; 2]
+        } else {
+            self.rates()
+        };
         for (i, c) in self.ctx.iter_mut().enumerate() {
-            let rate = if c.live() { self.rates[i] } else { 0.0 };
+            let rate = if c.live() { rates[i] } else { 0.0 };
             let prog = c.progress_at(rate, self.cycle);
             let whole = prog.floor();
             c.anchor_retired += whole as u64;
@@ -299,7 +334,7 @@ impl CoreModel for MesoCore {
     fn set_priority(&mut self, t: ThreadId, p: HwPriority) {
         self.reanchor();
         self.ctx[t.index()].priority = p;
-        self.dirty = true;
+        self.invalidate();
     }
 
     fn priority(&self, t: ThreadId) -> HwPriority {
@@ -311,7 +346,7 @@ impl CoreModel for MesoCore {
         let c = &mut self.ctx[t.index()];
         c.workload = Some(w);
         c.carry = 0.0;
-        self.dirty = true;
+        self.invalidate();
     }
 
     fn clear(&mut self, t: ThreadId) {
@@ -319,7 +354,7 @@ impl CoreModel for MesoCore {
         let c = &mut self.ctx[t.index()];
         c.workload = None;
         c.carry = 0.0;
-        self.dirty = true;
+        self.invalidate();
     }
 
     fn has_work(&self, t: ThreadId) -> bool {
@@ -327,14 +362,14 @@ impl CoreModel for MesoCore {
     }
 
     fn advance(&mut self, cycles: Cycles) -> [u64; 2] {
-        self.refresh();
+        let rates = self.rates();
         self.cycle += cycles;
         let mut out = [0u64; 2];
         for (i, c) in self.ctx.iter_mut().enumerate() {
             if !c.live() {
                 continue;
             }
-            let total = c.anchor_retired + c.progress_at(self.rates[i], self.cycle).floor() as u64;
+            let total = c.anchor_retired + c.progress_at(rates[i], self.cycle).floor() as u64;
             out[i] = total - c.retired;
             c.retired = total;
         }
@@ -342,11 +377,7 @@ impl CoreModel for MesoCore {
     }
 
     fn retire_rate(&self, t: ThreadId) -> f64 {
-        if self.dirty {
-            self.throughputs()[t.index()]
-        } else {
-            self.rates[t.index()]
-        }
+        self.rates()[t.index()]
     }
 
     fn save_state(&self) -> CoreState {
@@ -385,25 +416,31 @@ impl CoreModel for MesoCore {
         }
         // Rates are a pure function of the restored contexts; recompute
         // lazily exactly as after any configuration change.
-        self.dirty = true;
+        self.invalidate();
         Ok(())
     }
 
     fn cycles_to_retire(&self, t: ThreadId, n: u64) -> Option<Cycles> {
         let i = t.index();
-        if !self.ctx[i].live() {
+        let c = &self.ctx[i];
+        if !c.live() {
             return None;
         }
-        let rate = self.retire_rate(t);
+        // Whole-progress threshold at which `n` more instructions than the
+        // current count have retired.
+        let target = c.retired - c.anchor_retired + n;
+        if let Some(p) = self.promised[i].get() {
+            if p.target == target && self.cycle < p.at {
+                return Some(p.at - self.cycle);
+            }
+        }
+        let rate = self.rates()[i];
         if rate <= 0.0 {
             return None;
         }
-        let c = &self.ctx[i];
-        // Whole-progress threshold at which `n` more instructions than the
-        // current count have retired.
-        let target = (c.retired - c.anchor_retired + n) as f64;
+        let target_f = target as f64;
         let elapsed = self.cycle - c.anchor_cycle;
-        let est = ((target - c.carry) / rate).ceil() - elapsed as f64;
+        let est = ((target_f - c.carry) / rate).ceil() - elapsed as f64;
         if !est.is_finite() || est >= 9e18 {
             return Some(9_000_000_000_000_000_000);
         }
@@ -411,12 +448,16 @@ impl CoreModel for MesoCore {
         // `advance` evaluates, so the promised event time is identical no
         // matter how the preceding cycles were segmented.
         let mut dt = (est.max(1.0)) as Cycles;
-        while c.progress_at(rate, self.cycle + dt) < target {
+        while c.progress_at(rate, self.cycle + dt) < target_f {
             dt += 1;
         }
-        while dt > 1 && c.progress_at(rate, self.cycle + dt - 1) >= target {
+        while dt > 1 && c.progress_at(rate, self.cycle + dt - 1) >= target_f {
             dt -= 1;
         }
+        self.promised[i].set(Some(Promise {
+            target,
+            at: self.cycle + dt,
+        }));
         Some(dt)
     }
 }
@@ -764,6 +805,65 @@ mod tests {
                 (g1, g2, c.retired(ThreadId::A), c.retired(ThreadId::B))
             };
             prop_assert_eq!(run(false), run(true));
+        }
+
+        /// The rate cache and the completion memo are invisible: after any
+        /// sequence of advances and reconfigurations, every query answers
+        /// exactly what a core just restored from `save_state` (cold
+        /// caches) answers. Op 5 queries, advances by less than the answer
+        /// and queries again with the reduced count, which hits the memo,
+        /// then queries once more at the promised cycle, where the memo has
+        /// expired. The small set of counts makes a stale memo after a
+        /// reconfiguration likely to be asked for.
+        #[test]
+        fn prop_caches_match_a_cold_core(
+            ops in proptest::collection::vec((0u8..6, 0u64..20_000, 0u8..=7, 0usize..4), 1..40),
+        ) {
+            let loads = [
+                metload(2.5),
+                metload(0.7),
+                Workload::with_profile("hog", StreamSpec::mem_bound(2), WorkloadProfile::new(1.5, 0.9, 0.9)),
+            ];
+            let counts = [0u64, 1, 97, 1_000];
+            let check = |core: &MesoCore, t: ThreadId, n: u64| -> Result<Option<Cycles>, TestCaseError> {
+                let mut cold = MesoCore::default();
+                cold.restore_state(&core.save_state()).unwrap();
+                prop_assert_eq!(core.retire_rate(t).to_bits(), cold.retire_rate(t).to_bits());
+                let got = core.cycles_to_retire(t, n);
+                prop_assert_eq!(got, cold.cycles_to_retire(t, n));
+                Ok(got)
+            };
+            let mut core = pair(2.5, 2.65, 4, 6);
+            for (op, k, pr, ni) in ops {
+                let t = if k % 2 == 0 { ThreadId::A } else { ThreadId::B };
+                let n = counts[ni];
+                match op {
+                    0 => {
+                        core.advance(k);
+                    }
+                    1 => core.set_priority(t, p(pr)),
+                    2 => core.assign(t, loads[usize::from(pr) % loads.len()].clone()),
+                    3 => core.clear(t),
+                    4 => {
+                        check(&core, t, n)?;
+                    }
+                    _ => {
+                        if let Some(dt) = check(&core, t, n)? {
+                            let step = k % dt;
+                            let before = core.retired(t);
+                            core.advance(step);
+                            let done = core.retired(t) - before;
+                            prop_assert!(done < n.max(1), "retired {done} of {n} before the promised cycle");
+                            let again = check(&core, t, n - done)?;
+                            prop_assert_eq!(again, Some(dt - step));
+                            core.advance(dt - step);
+                            let done = core.retired(t) - before;
+                            prop_assert!(done >= n, "retired {done} of {n} by the promised cycle");
+                            check(&core, t, n.saturating_sub(done))?;
+                        }
+                    }
+                }
+            }
         }
     }
 }
