@@ -7,6 +7,12 @@
 //! with nothing to segment, both paths should collapse to one `advance`
 //! call per core and the bars should coincide.
 //!
+//! The `machine_advance_engine` group steps the noise-dense machine the
+//! way the event engine does: each iteration advances to
+//! `next_boundary(now)`, so an epoch crosses at most one noise boundary
+//! and the per-epoch cost of the kernel path (calendar upkeep, handler
+//! flips, accounting) is what the row times.
+//!
 //! Mesoscale cores, like the engine's default fidelity: their O(1)
 //! windows expose the segmentation machinery itself rather than
 //! per-cycle core modelling. Output identity between the two paths is
@@ -112,6 +118,22 @@ fn bench_machine_advance(c: &mut Criterion) {
                     })
                 });
             }
+        }
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("machine_advance_engine");
+    for cores in [2usize, 4, 8] {
+        for (name, seg) in paths {
+            g.bench_function(format!("{cores}c/to-next-boundary/{name}"), |bench| {
+                let mut m = loaded_machine(cores, true, seg);
+                bench.iter(|| {
+                    let now = m.now();
+                    let next = m.next_boundary(now).expect("periodic noise");
+                    m.advance(next - now);
+                    black_box(m.now())
+                })
+            });
         }
     }
     g.finish();

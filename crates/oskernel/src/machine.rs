@@ -213,6 +213,9 @@ pub struct Machine {
     segmentation: Segmentation,
     /// Reused per-context accounting buffer for [`Machine::advance`].
     acct_scratch: Vec<[CtxAcct; 2]>,
+    /// One calendar slot per core; a conflict domain uses the slot of its
+    /// first core (see [`DomainCalendar`]).
+    domains: Vec<DomainCalendar>,
     /// Shard fence posts from [`Machine::shard_plan`], computed once in
     /// [`Machine::new`]: the plan depends only on the cores' share groups,
     /// which are fixed at construction (`restore_state` writes core
@@ -253,6 +256,7 @@ impl Machine {
             runner: None,
             segmentation: Segmentation::default(),
             acct_scratch: Vec::with_capacity(n),
+            domains: (0..n).map(|_| DomainCalendar::default()).collect(),
             shard_bounds,
             shard_collapsed,
             spin: spin_workload(),
@@ -314,7 +318,16 @@ impl Machine {
         }
         self.noise_index[src.target.core].push(self.noise.len() as u32);
         self.noise.push(src);
+        self.reset_calendars();
         Ok(())
+    }
+
+    /// Make every conflict domain rebuild its calendar at its next
+    /// calendar epoch (see [`DomainCalendar`] for who calls this and why).
+    fn reset_calendars(&mut self) {
+        for d in &mut self.domains {
+            d.at = None;
+        }
     }
 
     /// Register a noise source. Panicking wrapper around
@@ -331,6 +344,7 @@ impl Machine {
     /// [`Segmentation`]; results are bit-identical either way).
     pub fn set_segmentation(&mut self, s: Segmentation) {
         self.segmentation = s;
+        self.reset_calendars();
     }
 
     /// The segmentation strategy in force.
@@ -628,8 +642,8 @@ impl Machine {
         (busy, spin, irq)
     }
 
-    /// The next time >= `t` at which some noise source changes state, if
-    /// any noise is configured.
+    /// The next time strictly after `t` at which some noise source
+    /// changes state, if any source still has one.
     pub fn next_boundary(&self, t: Cycles) -> Option<Cycles> {
         self.noise.iter().filter_map(|s| s.next_boundary(t)).min()
     }
@@ -656,7 +670,11 @@ impl Machine {
     /// index order). The plan is computed once, in [`Machine::new`]. With
     /// a runner attached ([`Machine::set_parallelism`]) the whole epoch
     /// costs one dispatch and one merge wait, however many noise segments
-    /// it contains; without one, a noise-free epoch allocates nothing.
+    /// it contains. Without one, a noise-free epoch allocates nothing, and
+    /// a noisy epoch that starts where the previous one ended allocates
+    /// only the workload clone each handler exit re-installs: every
+    /// conflict domain keeps its noise calendar and scratch across epochs
+    /// (see [`DomainCalendar`]).
     pub fn advance(&mut self, dt: Cycles) {
         let start = self.now;
         let end = start + dt;
@@ -671,6 +689,7 @@ impl Machine {
             noise_index,
             runner,
             acct_scratch,
+            domains,
             shard_bounds: bounds,
             ..
         } = self;
@@ -684,6 +703,7 @@ impl Machine {
             let mut cs: &mut [Box<dyn CoreModel>] = cores;
             let mut ss: &mut [[CtxState; 2]] = ctx_state;
             let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
+            let mut doms: &mut [DomainCalendar] = domains;
             let mut owners: &[[Option<usize>; 2]] = ctx_owner;
             let mut base = 0;
             for w in bounds.windows(2) {
@@ -691,12 +711,14 @@ impl Machine {
                 let (ch, cr) = cs.split_at_mut(len);
                 let (sh, sr) = ss.split_at_mut(len);
                 let (ah, ar) = accts.split_at_mut(len);
+                let (dh, dr) = doms.split_at_mut(len);
                 let (oh, or) = owners.split_at(len);
                 shards.push(Shard {
                     base,
                     cores: ch,
                     ctx_state: sh,
                     acct: ah,
+                    domains: dh,
                     ctx_owner: oh,
                     procs,
                     noise,
@@ -707,6 +729,7 @@ impl Machine {
                 cs = cr;
                 ss = sr;
                 accts = ar;
+                doms = dr;
                 owners = or;
                 base += len;
             }
@@ -716,18 +739,21 @@ impl Machine {
             let mut cs: &mut [Box<dyn CoreModel>] = cores;
             let mut ss: &mut [[CtxState; 2]] = ctx_state;
             let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
+            let mut doms: &mut [DomainCalendar] = domains;
             let mut owners: &[[Option<usize>; 2]] = ctx_owner;
             for w in bounds.windows(2) {
                 let len = w[1] - w[0];
                 let (ch, cr) = cs.split_at_mut(len);
                 let (sh, sr) = ss.split_at_mut(len);
                 let (ah, ar) = accts.split_at_mut(len);
+                let (dh, dr) = doms.split_at_mut(len);
                 let (oh, or) = owners.split_at(len);
                 let mut shard = Shard {
                     base,
                     cores: ch,
                     ctx_state: sh,
                     acct: ah,
+                    domains: dh,
                     ctx_owner: oh,
                     procs,
                     noise,
@@ -739,6 +765,7 @@ impl Machine {
                 cs = cr;
                 ss = sr;
                 accts = ar;
+                doms = dr;
                 owners = or;
                 base += len;
             }
@@ -885,8 +912,44 @@ impl Machine {
             })
             .collect();
         self.now = s.now;
+        self.reset_calendars();
         Ok(())
     }
+}
+
+/// A conflict domain's noise calendar and stepping scratch, kept across
+/// epochs so a noisy [`Machine::advance`] neither re-seeds a cursor per
+/// source nor allocates. The calendar holds the domain's cursors
+/// positioned at `at`, the end of the domain's last calendar epoch; an
+/// epoch starting there reuses it, and any other start rebuilds it in
+/// place at the epoch start (capacities kept).
+///
+/// Exactness: a cursor is a pure function of its source and its position
+/// (`prop_calendar_matches_any_scan`), and the epoch-end drain leaves
+/// every cursor strictly after `end`, so a carried cursor equals
+/// `cursor_at(end)`. After that drain `counts[slot]` is the number of
+/// the slot's sources active at `end` — what a rebuild at `end` counts.
+/// `running` and `mode` are rewritten for every slot at epoch start and
+/// only need sizing.
+///
+/// [`Machine::try_add_noise`] clears `at`: a new source changes the
+/// calendar without moving the time. [`Machine::restore_state`] and
+/// [`Machine::set_segmentation`] clear it too. Their time jumps and
+/// reference epochs (which leave the calendar where it was) already fail
+/// the position check; the reset makes a restored machine as cold as one
+/// resumed in a fresh process, so no state outside the snapshot carries
+/// over.
+#[derive(Default)]
+struct DomainCalendar {
+    cal: BoundaryCalendar,
+    /// Active sources per domain context slot (`(core - d0) * 2 + thread`).
+    counts: Vec<u32>,
+    /// Per slot: does the owner process run (fixed within an epoch)?
+    running: Vec<bool>,
+    /// Per slot: the cached accounting decision.
+    mode: Vec<CtxMode>,
+    /// The time the calendar is positioned at; `None` forces a rebuild.
+    at: Option<Cycles>,
 }
 
 /// One shard of an epoch: a contiguous run of cores (whole share-group
@@ -901,6 +964,8 @@ struct Shard<'a> {
     cores: &'a mut [Box<dyn CoreModel>],
     ctx_state: &'a mut [[CtxState; 2]],
     acct: &'a mut [[CtxAcct; 2]],
+    /// Per-core calendar slots; a domain uses the slot of its first core.
+    domains: &'a mut [DomainCalendar],
     ctx_owner: &'a [[Option<usize>; 2]],
     procs: &'a BTreeMap<usize, Pcb>,
     noise: &'a [NoiseSource],
@@ -941,8 +1006,8 @@ impl Shard<'_> {
         (self.base..self.base + self.cores.len()).contains(&core)
     }
 
-    /// The next time >= `t` at which a noise source targeting this shard
-    /// changes state.
+    /// The next time strictly after `t` at which a noise source targeting
+    /// this shard changes state.
     fn next_boundary(&self, t: Cycles) -> Option<Cycles> {
         self.noise
             .iter()
@@ -1002,10 +1067,12 @@ impl Shard<'_> {
 
     /// Event-calendar stepping. The shard's cores are walked one conflict
     /// domain at a time (a maximal run of equal `share_group`s; cores
-    /// without a group stand alone). Each domain builds per-source
-    /// boundary cursors once and merges them through a binary heap, so
-    /// discovering the next boundary is O(log sources) and handler sync
-    /// touches exactly the contexts whose cursors fired.
+    /// without a group stand alone). Each domain keeps per-source
+    /// boundary cursors merged through a binary heap across epochs (see
+    /// [`DomainCalendar`]), so discovering the next boundary is
+    /// O(log sources), handler sync touches exactly the contexts whose
+    /// cursors fired, and an epoch that continues the previous one seeds
+    /// nothing.
     ///
     /// Exactness: domains share no simulator state with each other, so
     /// stepping them whole-epoch one after another instead of interleaved
@@ -1020,6 +1087,9 @@ impl Shard<'_> {
     /// defined by the advance-window granularity (see
     /// `mtb_smtsim::chip`), so its windows must not be fused.
     fn advance_epoch_calendar(&mut self, start: Cycles, end: Cycles) {
+        // Borrow the calendar slots beside `self` for the walk (moving the
+        // slice reference out is free; the calendars stay in place).
+        let domains = std::mem::take(&mut self.domains);
         let mut d0 = 0;
         while d0 < self.cores.len() {
             let g = self.cores[d0].share_group();
@@ -1029,15 +1099,23 @@ impl Shard<'_> {
                     d1 += 1;
                 }
             }
-            self.advance_domain(d0, d1, start, end);
+            self.advance_domain(&mut domains[d0], d0, d1, start, end);
             d0 = d1;
         }
+        self.domains = domains;
     }
 
     /// Step one conflict domain (shard-local cores `d0..d1`) through the
-    /// epoch. See [`Shard::advance_epoch_calendar`] for the exactness
-    /// argument.
-    fn advance_domain(&mut self, d0: usize, d1: usize, start: Cycles, end: Cycles) {
+    /// epoch on its calendar `dom`. See [`Shard::advance_epoch_calendar`]
+    /// and [`DomainCalendar`] for the exactness argument.
+    fn advance_domain(
+        &mut self,
+        dom: &mut DomainCalendar,
+        d0: usize,
+        d1: usize,
+        start: Cycles,
+        end: Cycles,
+    ) {
         let single = d1 - d0 == 1;
         let nctx = (d1 - d0) * 2;
         let core_range = if single { d0..d1 } else { 0..self.cores.len() };
@@ -1045,8 +1123,8 @@ impl Shard<'_> {
         // Source-free fast path: with no boundary anywhere in the range
         // that could cut this domain, the epoch is one fused segment and
         // no handler state can change — skip the calendar and its
-        // scratch allocations entirely. This keeps noise-free epochs at
-        // reference cost instead of charging them calendar setup.
+        // scratch entirely. This keeps noise-free epochs at reference
+        // cost instead of charging them calendar upkeep.
         let quiet = core_range
             .clone()
             .all(|k| self.noise_index[self.base + k].is_empty());
@@ -1080,26 +1158,39 @@ impl Shard<'_> {
             return;
         }
 
-        // Seed cursors. A single-core domain only ever cuts at its own
-        // two contexts' boundaries; a multi-core domain must cut at every
-        // boundary the *shard* owns (reference cut parity), with foreign
-        // contexts mapped to the ignore slot `nctx`.
-        let mut cal = BoundaryCalendar::with_capacity(nctx);
-        let mut counts = vec![0u32; nctx];
-        for k in core_range {
-            for &i in &self.noise_index[self.base + k] {
-                let s = &self.noise[i as usize];
-                let ti = s.target.thread.index();
-                let slot = if (d0..d1).contains(&k) {
-                    (k - d0) * 2 + ti
-                } else {
-                    nctx
-                };
-                let cur = s.cursor_at(start);
-                if slot < nctx && cur.active() {
-                    counts[slot] += 1;
+        let DomainCalendar {
+            cal,
+            counts,
+            running,
+            mode,
+            at,
+        } = dom;
+        if *at != Some(start) {
+            // Seed cursors at `start`, in place. A single-core domain
+            // only ever cuts at its own two contexts' boundaries; a
+            // multi-core domain must cut at every boundary the *shard*
+            // owns (reference cut parity), with foreign contexts mapped
+            // to the ignore slot `nctx`.
+            cal.clear();
+            counts.clear();
+            counts.resize(nctx, 0);
+            running.resize(nctx, false);
+            mode.resize(nctx, CtxMode::OFF);
+            for k in core_range {
+                for &i in &self.noise_index[self.base + k] {
+                    let s = &self.noise[i as usize];
+                    let ti = s.target.thread.index();
+                    let slot = if (d0..d1).contains(&k) {
+                        (k - d0) * 2 + ti
+                    } else {
+                        nctx
+                    };
+                    let cur = s.cursor_at(start);
+                    if slot < nctx && cur.active() {
+                        counts[slot] += 1;
+                    }
+                    cal.push(slot, cur);
                 }
-                cal.push(slot, cur);
             }
         }
 
@@ -1107,8 +1198,6 @@ impl Shard<'_> {
         // `sync_handlers(t)` call does for these contexts), then cache
         // the run state and accounting mode per context — neither can
         // change mid-epoch except at handler flips.
-        let mut running = vec![false; nctx];
-        let mut mode = vec![CtxMode::OFF; nctx];
         for k in d0..d1 {
             for th in ThreadId::BOTH {
                 let ti = th.index();
@@ -1206,6 +1295,7 @@ impl Shard<'_> {
                 self.apply_handler_state(k, th, counts[slot] > 0);
             }
         }
+        *at = Some(end);
     }
 
     /// The accounting decision for one context under its current handler

@@ -206,8 +206,11 @@ impl NoiseSource {
 /// window of `cost` every `period`) or one-shot, so the boundary after a
 /// window end is always `period - cost` later and the boundary after an
 /// activation is `cost` later. The machine's calendar segmentation
-/// builds one cursor per source at each epoch start instead of
-/// re-deriving `next_boundary` arithmetic per segment.
+/// seeds one cursor per source and carries it from epoch to epoch
+/// (re-seeding only when the time jumps or the source set changes)
+/// instead of re-deriving `next_boundary` arithmetic per segment. A
+/// cursor is a pure function of its source and its position, so a
+/// carried cursor equals one seeded afresh at the same time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoiseCursor {
     period: Cycles,
@@ -224,8 +227,8 @@ impl NoiseCursor {
         self.active
     }
 
-    /// The next boundary at or after the cursor position (`None` once a
-    /// one-shot source is spent).
+    /// The next boundary strictly after the cursor position (`None` once
+    /// a one-shot source is spent).
     pub fn next(&self) -> Option<Cycles> {
         self.next
     }
@@ -269,12 +272,11 @@ pub struct BoundaryCalendar {
 }
 
 impl BoundaryCalendar {
-    /// An empty calendar with room for `n` cursors.
-    pub fn with_capacity(n: usize) -> BoundaryCalendar {
-        BoundaryCalendar {
-            slots: Vec::with_capacity(n),
-            heap: Vec::with_capacity(n),
-        }
+    /// Remove every cursor, keeping the allocated capacity, so a calendar
+    /// can be rebuilt in place without touching the heap.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.heap.clear();
     }
 
     /// Number of cursors (including spent ones).
@@ -492,7 +494,7 @@ mod tests {
         let a = src(100, 10, 0);
         let b = src(50, 5, 0);
         let o = NoiseSource::once("x", CtxAddr::from_cpu(1), 10, 30);
-        let mut cal = BoundaryCalendar::with_capacity(3);
+        let mut cal = BoundaryCalendar::default();
         cal.push(0, a.cursor_at(0));
         cal.push(0, b.cursor_at(0));
         cal.push(1, o.cursor_at(0));
@@ -513,6 +515,13 @@ mod tests {
         cal.advance_to(40, |k, act| flips.push((k, act)));
         assert_eq!(flips, vec![(1, false)]);
         assert_eq!(cal.next_boundary(), Some(50), "b's second activation");
+        // A cleared calendar is empty and refills like a fresh one.
+        cal.clear();
+        assert!(cal.is_empty());
+        assert_eq!(cal.next_boundary(), None);
+        cal.push(1, o.cursor_at(0));
+        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.next_boundary(), Some(10));
     }
 
     #[test]
@@ -643,7 +652,7 @@ mod tests {
                     .iter()
                     .any(|s| s.target.thread.index() == ti && s.active_at(t))
             };
-            let mut cal = BoundaryCalendar::with_capacity(sources.len());
+            let mut cal = BoundaryCalendar::default();
             let mut counts = [0u32; 2];
             for s in &sources {
                 let cur = s.cursor_at(t0);

@@ -1,4 +1,5 @@
-//! A noise-free [`Machine::advance`] allocates nothing. The event engine
+//! A noise-free [`Machine::advance`] allocates nothing, and a noisy one
+//! allocates only what its handler exits re-install. The event engine
 //! calls it once per event, so any per-epoch heap traffic multiplies into
 //! every meso run: after one warm-up epoch, stepping the machine, asking
 //! every process for its completion time and rewriting priorities must
@@ -10,10 +11,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mtb_oskernel::{CtxAddr, KernelConfig, Machine};
+use mtb_oskernel::noise::interrupt_annoyance;
+use mtb_oskernel::{CtxAddr, KernelConfig, Machine, NoiseSource};
 use mtb_smtsim::chip::build_cores;
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{Workload, WorkloadProfile};
+use mtb_trace::Cycles;
 
 thread_local! {
     /// Heap allocations (including reallocations) made by this thread.
@@ -70,8 +73,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn noise_free_advance_does_not_allocate() {
+/// A 2-core meso machine with a running process on each of its 4 contexts.
+fn four_processes() -> Machine {
     let mut m = Machine::new(build_cores(2, false), KernelConfig::patched());
     for pid in 0..4 {
         m.spawn(pid, format!("P{pid}"), CtxAddr::from_cpu(pid))
@@ -83,6 +86,12 @@ fn noise_free_advance_does_not_allocate() {
         );
         m.run_workload(pid, w).unwrap();
     }
+    m
+}
+
+#[test]
+fn noise_free_advance_does_not_allocate() {
+    let mut m = four_processes();
     // Warm-up: the first epoch sizes the machine's accounting scratch.
     m.advance(1_000);
 
@@ -103,5 +112,57 @@ fn noise_free_advance_does_not_allocate() {
 
     assert_eq!(made, 0, "1000 noise-free rounds allocated {made} times");
     assert!(horizon > 0);
+    assert!((0..4).all(|pid| m.retired(pid) > 0), "every process ran");
+}
+
+/// Noise windows of `sources` that close in `(t0, t1]`.
+fn windows_closed(sources: &[NoiseSource], t0: Cycles, t1: Cycles) -> u64 {
+    let mut closed = 0;
+    for s in sources {
+        let mut t = t0;
+        while let Some(b) = s.next_boundary(t).filter(|&b| b <= t1) {
+            if !s.active_at(b) {
+                closed += 1;
+            }
+            t = b;
+        }
+    }
+    closed
+}
+
+/// A noisy epoch that continues the previous one reuses its conflict
+/// domain's calendar and scratch, so stepping engine-style from noise
+/// boundary to noise boundary allocates only in `exit_handler`: leaving
+/// a handler window re-installs a clone of the context's workload, and
+/// the clone copies the workload's name. That is at most one allocation
+/// per closed noise window.
+#[test]
+fn noisy_engine_steps_allocate_only_the_handler_exit_clone() {
+    let mut m = four_processes();
+    let sources = interrupt_annoyance(2, 15_000, 700, 5_000, 400);
+    for s in &sources {
+        m.add_noise(s.clone());
+    }
+    // Warm-up: the first epoch sizes every domain's calendar and scratch.
+    m.advance(1_000);
+
+    let t0 = m.now();
+    let before = allocs();
+    for _ in 0..1_000 {
+        let next = m.next_boundary(m.now()).expect("periodic noise");
+        m.advance(next - m.now());
+    }
+    let made = allocs() - before;
+
+    let closed = windows_closed(&sources, t0, m.now());
+    assert_eq!(closed, 997, "the set-up's window count moved");
+    assert!(
+        made <= closed,
+        "1000 noisy epochs allocated {made} times for {closed} closed windows"
+    );
+    assert!(
+        m.pcb(0).unwrap().interrupt_cycles > 0,
+        "noise was delivered"
+    );
     assert!((0..4).all(|pid| m.retired(pid) > 0), "every process ran");
 }

@@ -4,11 +4,14 @@
 //! (periodic and one-shot, overlapping, boundary-coincident), random
 //! epoch splits (including splits landing exactly on noise boundaries,
 //! the checkpoint-coincident case), both core fidelities, and both the
-//! sequential and the 4-worker sharded stepping paths.
+//! sequential and the 4-worker sharded stepping paths. A scripted variant
+//! checks the calendar each conflict domain carries across epochs: its
+//! scripts rewind to earlier snapshots, add sources mid-run and detour
+//! through the other segmentation.
 
 use std::sync::Arc;
 
-use mtb_oskernel::{CtxAddr, KernelConfig, Machine, NoiseSource, Segmentation};
+use mtb_oskernel::{CtxAddr, KernelConfig, Machine, MachineState, NoiseSource, Segmentation};
 use mtb_pool::{Budget, ShardedRunner};
 use mtb_smtsim::chip::{build_cores_grouped, Fidelity};
 use mtb_smtsim::inst::StreamSpec;
@@ -59,7 +62,6 @@ fn build(spec: &NoiseSpec) -> NoiseSource {
 
 /// Run one machine to completion under the given segmentation and
 /// thread count, returning the final full state.
-#[allow(clippy::too_many_arguments)]
 fn run(
     fidelity: &Fidelity,
     cores_per_l2: usize,
@@ -67,7 +69,23 @@ fn run(
     epochs: &[u64],
     seg: Segmentation,
     threads: usize,
-) -> mtb_oskernel::MachineState {
+) -> MachineState {
+    let mut m = loaded(fidelity, cores_per_l2, noise, seg, threads);
+    for &dt in epochs {
+        m.advance(dt);
+    }
+    m.save_state()
+}
+
+/// A machine with a running, prioritised process on every context and
+/// the given noise, under the given segmentation and thread count.
+fn loaded(
+    fidelity: &Fidelity,
+    cores_per_l2: usize,
+    noise: &[NoiseSpec],
+    seg: Segmentation,
+    threads: usize,
+) -> Machine {
     let mut m = Machine::new(
         build_cores_grouped(CORES, fidelity, cores_per_l2),
         KernelConfig::patched(),
@@ -93,8 +111,68 @@ fn run(
     for s in noise {
         m.add_noise(build(s));
     }
-    for &dt in epochs {
-        m.advance(dt);
+    m
+}
+
+/// One step of a machine script: the operations that move a domain's
+/// carried noise calendar away from the next epoch's start or change
+/// the source set under it.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `advance(dt)` under the script's segmentation.
+    Advance(u64),
+    /// `add_noise` of a source registered mid-run.
+    AddNoise(NoiseSpec),
+    /// Remember `save_state()`.
+    Save,
+    /// `restore_state` of the last `Save` (no-op before the first).
+    Restore,
+    /// One `advance(dt)` under the other segmentation, then back.
+    Detour(u64),
+}
+
+/// Mostly plain epochs, each other step one time in ten.
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..10, 1u64..=3000, noise_spec()).prop_map(|(kind, dt, spec)| match kind {
+        0..=5 => Step::Advance(dt),
+        6 => Step::AddNoise(spec),
+        7 => Step::Save,
+        8 => Step::Restore,
+        _ => Step::Detour(dt),
+    })
+}
+
+/// Play `script` on a loaded machine and return the final full state.
+fn run_script(
+    fidelity: &Fidelity,
+    cores_per_l2: usize,
+    noise: &[NoiseSpec],
+    script: &[Step],
+    seg: Segmentation,
+    threads: usize,
+) -> MachineState {
+    let other = match seg {
+        Segmentation::Calendar => Segmentation::Reference,
+        Segmentation::Reference => Segmentation::Calendar,
+    };
+    let mut m = loaded(fidelity, cores_per_l2, noise, seg, threads);
+    let mut saved = None;
+    for s in script {
+        match s {
+            Step::Advance(dt) => m.advance(*dt),
+            Step::AddNoise(spec) => m.add_noise(build(spec)),
+            Step::Save => saved = Some(m.save_state()),
+            Step::Restore => {
+                if let Some(snap) = &saved {
+                    m.restore_state(snap).expect("same machine shape");
+                }
+            }
+            Step::Detour(dt) => {
+                m.set_segmentation(other);
+                m.advance(*dt);
+                m.set_segmentation(seg);
+            }
+        }
     }
     m.save_state()
 }
@@ -135,6 +213,34 @@ proptest! {
             prop_assert_eq!(
                 &fast, &reference,
                 "calendar drifted from reference at {} threads", threads
+            );
+        }
+    }
+
+    /// A calendar carried across epochs stays exact under everything
+    /// that moves it: rewinds to an earlier snapshot, sources registered
+    /// mid-run, and epochs stepped by the other segmentation. Full state
+    /// equality with the reference script at 1 and 4 workers.
+    #[test]
+    fn carried_calendar_matches_reference_under_rewinds(
+        noise in proptest::collection::vec(noise_spec(), 1..6),
+        script in proptest::collection::vec(step(), 1..40),
+        cores_per_l2 in 1usize..=2,
+        cycle in 0u8..2,
+    ) {
+        let fidelity = if cycle == 1 {
+            Fidelity::Cycle(CoreConfig::default())
+        } else {
+            Fidelity::Meso(Default::default())
+        };
+        let reference = run_script(&fidelity, cores_per_l2, &noise, &script,
+                                   Segmentation::Reference, 1);
+        for threads in [1, 4] {
+            let fast = run_script(&fidelity, cores_per_l2, &noise, &script,
+                                  Segmentation::Calendar, threads);
+            prop_assert_eq!(
+                &fast, &reference,
+                "carried calendar drifted from reference at {} threads", threads
             );
         }
     }
