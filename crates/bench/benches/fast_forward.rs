@@ -11,19 +11,42 @@
 //! the slot-ownership accounting strategies — ranged census over whole
 //! grant periods (what the hot engine flushes per slice) against the
 //! per-cycle table lookup the reference path performs.
+//!
+//! `paper_regimes` prices one simulated core-cycle in the regimes the
+//! paper cases put a cycle-level core in: the paper loads and the MPI
+//! spin stream, paired as the case ladders pair them, at MEDIUM
+//! priorities. Each core is warmed for `REGIME_WARMUP` cycles (caches
+//! and predictors filled), then advanced `REGIME_CHUNK` cycles per
+//! iteration; the throughput line is per core-cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use mtb_oskernel::machine::spin_workload;
 use mtb_smtsim::decode::{grant_census_range, GrantLut, GRANT_PERIOD};
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{CoreModel, ThreadId, Workload};
 use mtb_smtsim::{CoreConfig, HwPriority, SmtCore};
+use mtb_workloads::loads::{btmz_load, metbench_load, siesta_load};
 
 const CYCLES: u64 = 50_000;
+
+/// Warm-up cycles before a paper regime is timed.
+const REGIME_WARMUP: u64 = 20_000;
+
+/// Cycles per timed `advance` in the paper regimes: the mean length of
+/// an `advance` call in the e2e `cycle-cases` workload, so per-call
+/// costs (mirror-in, the state check, the exit drain) weigh as they do
+/// there. Its `--trace 1` pass at seed 1 makes 238 calls per run over
+/// 116k core-cycles (`smtsim.advance_ms` 22.0 ms at
+/// `smtsim.ns_per_kcycle` 189k ns), ~490 core-cycles per call.
+const REGIME_CHUNK: u64 = 500;
 
 /// Cycles per priority pair in the steady sweep; 64 pairs per iteration.
 const STEADY_SLICE: u64 = 512;
 
 type SpecFn = fn(u64) -> StreamSpec;
+
+/// A paper regime: its name and the loads of contexts A and B.
+type Regime = (&'static str, fn() -> Workload, fn() -> Workload);
 
 fn core(spec: SpecFn, fast_forward: bool) -> SmtCore {
     let cfg = CoreConfig {
@@ -131,10 +154,42 @@ fn bench_accounting(c: &mut Criterion) {
     g.finish();
 }
 
+/// One core-cycle in each paper regime: context A and B loads, MEDIUM
+/// priorities, fast-forward on.
+fn bench_paper_regimes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("paper_regimes");
+    g.throughput(Throughput::Elements(REGIME_CHUNK));
+    let regimes: [Regime; 6] = [
+        ("spin/spin", spin_workload, spin_workload),
+        ("metbench/spin", || metbench_load(1), spin_workload),
+        (
+            "metbench/metbench",
+            || metbench_load(1),
+            || metbench_load(2),
+        ),
+        ("btmz/btmz", || btmz_load(1), || btmz_load(2)),
+        ("siesta/siesta", || siesta_load(1), || siesta_load(2)),
+        ("siesta/spin", || siesta_load(1), spin_workload),
+    ];
+    for (name, a, b) in regimes {
+        g.bench_function(name, |bench| {
+            let mut core = SmtCore::new(CoreConfig::default());
+            core.assign(ThreadId::A, a());
+            core.assign(ThreadId::B, b());
+            core.set_priority(ThreadId::A, HwPriority::MEDIUM);
+            core.set_priority(ThreadId::B, HwPriority::MEDIUM);
+            core.advance(REGIME_WARMUP);
+            bench.iter(|| black_box(core.advance(REGIME_CHUNK)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_fast_forward,
     bench_steady_decode,
-    bench_accounting
+    bench_accounting,
+    bench_paper_regimes
 );
 criterion_main!(benches);

@@ -1925,7 +1925,10 @@ mod tests {
         type Edit = fn(&mut Program);
         let edits: Vec<(&str, Edit)> = vec![
             ("work.instructions", |p| ws(p).instructions += 1),
-            ("workload.name", |p| ws(p).workload.name.push('x')),
+            ("workload.name", |p| {
+                let w = &mut ws(p).workload;
+                w.name = format!("{}x", w.name).into();
+            }),
             ("stream.fx", |p| ws(p).workload.stream.fx += 1),
             ("stream.fp", |p| ws(p).workload.stream.fp += 1),
             ("stream.ls", |p| ws(p).workload.stream.ls += 1),

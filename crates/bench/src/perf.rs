@@ -69,6 +69,20 @@ const KERNEL_CYCLES_SMOKE: u64 = 2_000_000;
 /// events, so the measured segment population matches real runs.
 const KERNEL_EPOCH: u64 = 50_000;
 
+/// How a kernel-path row slices its cycles into `Machine::advance`
+/// calls.
+#[derive(Clone, Copy)]
+enum Epochs {
+    /// [`KERNEL_EPOCH`]-cycle epochs, each spanning many noise
+    /// boundaries (the `kernel-path` sweep).
+    Quantum,
+    /// Epochs that end at the next noise boundary, the shape the event
+    /// engine produces under noise: each epoch crosses at most one
+    /// boundary, so the row prices the calendar's per-epoch upkeep (the
+    /// `kernel-path-engine` sweep).
+    ToNextBoundary,
+}
+
 /// Intra-run worker-thread counts the scaling sweeps measure, and the
 /// sweep each lands in. The reference is always the same run at 1 thread.
 const SCALING_THREADS: [(usize, &str); 3] =
@@ -581,7 +595,7 @@ fn kernel_noise(n_cores: usize) -> Vec<NoiseSource> {
 /// [`MachineState`] equality, and additionally requires an untimed
 /// 4-worker sharded calendar run to land in the same state
 /// (MTB_JOBS-independence of the fast path).
-fn kernel_path_entry(label: &str, programs: &[Program], cycles: u64) -> BenchEntry {
+fn kernel_path_entry(label: &str, programs: &[Program], cycles: u64, epochs: Epochs) -> BenchEntry {
     let n = programs.len();
     let workloads = rank_workloads(programs);
     let build = || {
@@ -601,11 +615,14 @@ fn kernel_path_entry(label: &str, programs: &[Program], cycles: u64) -> BenchEnt
         m
     };
     let drive = |m: &mut Machine, n_cycles: u64| {
-        let mut left = n_cycles;
-        while left > 0 {
-            let step = KERNEL_EPOCH.min(left);
-            m.advance(step);
-            left -= step;
+        let end = m.now() + n_cycles;
+        while m.now() < end {
+            let now = m.now();
+            let stop = match epochs {
+                Epochs::Quantum => now + KERNEL_EPOCH,
+                Epochs::ToNextBoundary => m.next_boundary(now).unwrap_or(end),
+            };
+            m.advance(stop.min(end) - now);
         }
     };
     let run = |seg: Segmentation, n_cycles: u64| -> (f64, MachineState) {
@@ -635,7 +652,10 @@ fn kernel_path_entry(label: &str, programs: &[Program], cycles: u64) -> BenchEnt
         m.save_state()
     };
     BenchEntry {
-        sweep: "kernel-path",
+        sweep: match epochs {
+            Epochs::Quantum => "kernel-path",
+            Epochs::ToNextBoundary => "kernel-path-engine",
+        },
         case: label.to_string(),
         sim_cycles: cycles,
         wall_fast_s: wall_fast,
@@ -644,27 +664,32 @@ fn kernel_path_entry(label: &str, programs: &[Program], cycles: u64) -> BenchEnt
     }
 }
 
-/// The kernel-path sweep: [`Machine::advance`] throughput, calendar vs
+/// The kernel-path sweeps: [`Machine::advance`] throughput, calendar vs
 /// reference segmentation, on the three scaling cases' compute mixes
-/// under dense Section II-B noise. Timed single-threaded — the scaling
-/// sweeps already price parallelism; the sharded path is cross-checked
-/// for identity but not timed.
+/// under dense Section II-B noise, once in 50k-cycle epochs
+/// (`kernel-path`) and once in engine-shaped epochs that stop at every
+/// noise boundary (`kernel-path-engine`). Timed single-threaded — the
+/// scaling sweeps already price parallelism; the sharded path is
+/// cross-checked for identity but not timed.
 fn kernel_path_sweeps(smoke: bool, entries: &mut Vec<BenchEntry>) {
     let cycles = if smoke {
         KERNEL_CYCLES_SMOKE
     } else {
         KERNEL_CYCLES
     };
-    let mb = MetBenchConfig::default();
-    entries.push(kernel_path_entry("metbench-4c", &mb.programs(), cycles));
+    let mb = MetBenchConfig::default().programs();
     let bt = BtMzConfig {
         ranks: 8,
         ..BtMzConfig::default()
     }
-    .with_partition(contiguous_partition(8));
-    entries.push(kernel_path_entry("btmz-8c", &bt.programs(), cycles));
-    let si = SiestaConfig::default();
-    entries.push(kernel_path_entry("siesta-4c", &si.programs(), cycles));
+    .with_partition(contiguous_partition(8))
+    .programs();
+    let si = SiestaConfig::default().programs();
+    for epochs in [Epochs::Quantum, Epochs::ToNextBoundary] {
+        entries.push(kernel_path_entry("metbench-4c", &mb, cycles, epochs));
+        entries.push(kernel_path_entry("btmz-8c", &bt, cycles, epochs));
+        entries.push(kernel_path_entry("siesta-4c", &si, cycles, epochs));
+    }
 }
 
 fn core_sweep(
@@ -806,13 +831,16 @@ mod tests {
     #[test]
     fn kernel_path_entry_is_state_identical() {
         let cfg = MetBenchConfig::tiny();
-        let e = kernel_path_entry("metbench-tiny", &cfg.programs(), 60_000);
-        assert!(
-            e.identical,
-            "calendar segmentation drifted from the reference walk"
-        );
-        assert_eq!(e.sim_cycles, 60_000);
-        assert!(e.wall_fast_s > 0.0 && e.wall_ref_s > 0.0);
+        for epochs in [Epochs::Quantum, Epochs::ToNextBoundary] {
+            let e = kernel_path_entry("metbench-tiny", &cfg.programs(), 60_000, epochs);
+            assert!(
+                e.identical,
+                "calendar segmentation drifted from the reference walk ({})",
+                e.sweep
+            );
+            assert_eq!(e.sim_cycles, 60_000);
+            assert!(e.wall_fast_s > 0.0 && e.wall_ref_s > 0.0);
+        }
     }
 
     #[test]

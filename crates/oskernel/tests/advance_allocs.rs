@@ -1,9 +1,9 @@
-//! A noise-free [`Machine::advance`] allocates nothing, and a noisy one
-//! allocates only what its handler exits re-install. The event engine
-//! calls it once per event, so any per-epoch heap traffic multiplies into
-//! every meso run: after one warm-up epoch, stepping the machine, asking
-//! every process for its completion time and rewriting priorities must
-//! not touch the heap.
+//! [`Machine::advance`] allocates nothing, with or without noise. The
+//! event engine calls it once per event, so any per-epoch heap traffic
+//! multiplies into every meso run: after one warm-up epoch, stepping the
+//! machine, asking every process for its completion time, rewriting
+//! priorities and re-installing workloads at noise-handler exits must not
+//! touch the heap.
 //!
 //! This file is a test binary of its own because it installs a counting
 //! global allocator.
@@ -131,13 +131,12 @@ fn windows_closed(sources: &[NoiseSource], t0: Cycles, t1: Cycles) -> u64 {
 }
 
 /// A noisy epoch that continues the previous one reuses its conflict
-/// domain's calendar and scratch, so stepping engine-style from noise
-/// boundary to noise boundary allocates only in `exit_handler`: leaving
-/// a handler window re-installs a clone of the context's workload, and
-/// the clone copies the workload's name. That is at most one allocation
-/// per closed noise window.
+/// domain's calendar and scratch, and leaving a handler window
+/// re-installs a clone of the context's workload, whose name is shared:
+/// stepping engine-style from noise boundary to noise boundary allocates
+/// nothing.
 #[test]
-fn noisy_engine_steps_allocate_only_the_handler_exit_clone() {
+fn noisy_engine_steps_do_not_allocate() {
     let mut m = four_processes();
     let sources = interrupt_annoyance(2, 15_000, 700, 5_000, 400);
     for s in &sources {
@@ -156,9 +155,9 @@ fn noisy_engine_steps_allocate_only_the_handler_exit_clone() {
 
     let closed = windows_closed(&sources, t0, m.now());
     assert_eq!(closed, 997, "the set-up's window count moved");
-    assert!(
-        made <= closed,
-        "1000 noisy epochs allocated {made} times for {closed} closed windows"
+    assert_eq!(
+        made, 0,
+        "1000 noisy epochs allocated {made} times across {closed} handler exits"
     );
     assert!(
         m.pcb(0).unwrap().interrupt_cycles > 0,

@@ -69,6 +69,15 @@ pub(crate) struct Pow2Index {
     set_shift: u32,
 }
 
+impl Pow2Index {
+    /// Line number of `addr`: two addresses touch the same line exactly
+    /// when their line numbers are equal.
+    #[inline]
+    pub(crate) fn line(self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+}
+
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Tags carry an *owner id* so that statistics can attribute evictions to
@@ -131,10 +140,36 @@ impl Cache {
     /// divisions. `idx` must come from this cache's [`Cache::pow2_index`].
     #[inline]
     pub(crate) fn access_pow2(&mut self, addr: u64, owner: u8, idx: Pow2Index) -> bool {
-        let line = addr >> idx.line_shift;
+        self.access_pow2_way(addr, owner, idx).0
+    }
+
+    /// [`Cache::access_pow2`] that also returns the index of the way
+    /// now holding the line (the hit way, or the filled victim), for
+    /// [`Cache::repeat_hits`].
+    #[inline]
+    pub(crate) fn access_pow2_way(
+        &mut self,
+        addr: u64,
+        owner: u8,
+        idx: Pow2Index,
+    ) -> (bool, usize) {
+        let line = idx.line(addr);
         let set = (line & idx.set_mask) as usize;
         let tag = line >> idx.set_shift;
-        self.access_at(set, tag, owner)
+        self.access_way(set, tag, owner)
+    }
+
+    /// Account `n` more accesses to the line in `way`, by the owner of
+    /// the access that returned `way` from [`Cache::access_pow2_way`],
+    /// with no access in between. Each would hit that way, so together
+    /// they advance the tick by `n`, count `n` hits and leave the way's
+    /// LRU stamp at the final tick — what `n` calls to
+    /// [`Cache::access`] leave behind.
+    #[inline]
+    pub(crate) fn repeat_hits(&mut self, way: usize, n: u64) {
+        self.tick += n;
+        self.hits += n;
+        self.stamps[way] = self.tick;
     }
 
     /// Access `addr` on behalf of `owner`. Returns `true` on hit. On miss
@@ -144,11 +179,13 @@ impl Cache {
         let nsets = self.cfg.sets() as u64;
         let set = (line % nsets) as usize;
         let tag = line / nsets;
-        self.access_at(set, tag, owner)
+        self.access_way(set, tag, owner).0
     }
 
+    /// One access: hit or fill, plus the index of the way that holds
+    /// the line afterwards.
     #[inline]
-    fn access_at(&mut self, set: usize, tag: u64, owner: u8) -> bool {
+    fn access_way(&mut self, set: usize, tag: u64, owner: u8) -> (bool, usize) {
         self.tick += 1;
         let base = set * self.cfg.assoc;
 
@@ -159,7 +196,7 @@ impl Cache {
                     self.stamps[base + w] = self.tick;
                     self.ways[base + w] = Some((tag, owner));
                     self.hits += 1;
-                    return true;
+                    return (true, base + w);
                 }
             }
         }
@@ -189,7 +226,7 @@ impl Cache {
         }
         self.ways[base + victim] = Some((tag, owner));
         self.stamps[base + victim] = self.tick;
-        false
+        (false, base + victim)
     }
 
     /// (hits, misses) so far.
@@ -403,6 +440,29 @@ mod tests {
                 }
                 prop_assert_eq!(div.save_state(), pow.save_state());
             }
+        }
+
+        /// Runs of same-line accesses folded into one access plus
+        /// `repeat_hits` leave the state the one-by-one accesses leave.
+        #[test]
+        fn prop_repeat_hits_match_repeated_access(
+            runs in proptest::collection::vec((0u64..200_000, 0u8..4, 1u64..6), 1..200)
+        ) {
+            let cfg = CacheConfig::l1i();
+            let mut each = Cache::new(cfg);
+            let mut folded = Cache::new(cfg);
+            let idx = folded.pow2_index().expect("power-of-two sets");
+            for &(a, o, n) in &runs {
+                let hit = each.access(a, o);
+                for k in 1..n {
+                    // Every address of the run lies in the first one's line.
+                    prop_assert!(each.access((a & !127) + (k * 4) % 128, o));
+                }
+                let (first, way) = folded.access_pow2_way(a, o, idx);
+                folded.repeat_hits(way, n - 1);
+                prop_assert_eq!(first, hit);
+            }
+            prop_assert_eq!(each.save_state(), folded.save_state());
         }
     }
 }

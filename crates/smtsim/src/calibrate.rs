@@ -47,7 +47,7 @@ pub fn calibrated_profile_with(spec: &StreamSpec, cfg: &CoreConfig) -> WorkloadP
 }
 
 /// Build a [`Workload`] whose profile was measured, not estimated.
-pub fn calibrated_workload(name: impl Into<String>, spec: StreamSpec) -> Workload {
+pub fn calibrated_workload(name: impl Into<std::sync::Arc<str>>, spec: StreamSpec) -> Workload {
     let profile = calibrated_profile(&spec);
     Workload::with_profile(name, spec, profile)
 }

@@ -99,6 +99,17 @@ pub struct CoreConfig {
     pub fast_forward: bool,
 }
 
+impl CoreConfig {
+    /// The longest result latency an instruction can have: a load that
+    /// misses both caches, or the slowest unit.
+    pub(crate) fn max_latency(&self) -> Cycles {
+        self.fx_lat
+            .max(self.fp_lat)
+            .max(self.br_lat)
+            .max(self.l1d.hit_latency + self.l2.hit_latency + self.mem_lat)
+    }
+}
+
 impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
@@ -125,7 +136,7 @@ impl Default for CoreConfig {
 /// Per-context microarchitectural state.
 pub(crate) struct Ctx {
     pub(crate) tsr: Tsr,
-    pub(crate) workload: Option<(String, StreamGen)>,
+    pub(crate) workload: Option<(Arc<str>, StreamGen)>,
     pub(crate) dispatch: VecDeque<(Inst, u64)>,
     /// Completion cycle of instruction `seq`, ring-indexed by `seq % window`.
     pub(crate) completion: Vec<Cycles>,
@@ -144,14 +155,19 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    fn new(window: usize) -> Ctx {
+    /// A context sized for `cfg`: both queues start at their largest
+    /// possible length — at most `dispatch_buf` decoded entries, and at
+    /// most `issue_width` issues per cycle, each pending for at most the
+    /// longest latency — so stepping never grows them.
+    fn new(cfg: &CoreConfig) -> Ctx {
+        let in_flight = usize::from(cfg.issue_width) * (cfg.max_latency() as usize + 1);
         Ctx {
             tsr: Tsr::new(),
             workload: None,
-            dispatch: VecDeque::new(),
-            completion: vec![0; window],
+            dispatch: VecDeque::with_capacity(cfg.dispatch_buf),
+            completion: vec![0; cfg.window],
             seq: 0,
-            pending: BinaryHeap::new(),
+            pending: BinaryHeap::with_capacity(in_flight),
             stats: CtxStats::default(),
             rate_anchor: (0, 0),
             predictor: BranchPredictor::default(),
@@ -205,7 +221,7 @@ impl SmtCore {
             l1d,
             l1i,
             units: UnitPool::new(cfg.units),
-            ctx: [Ctx::new(cfg.window), Ctx::new(cfg.window)],
+            ctx: [Ctx::new(&cfg), Ctx::new(&cfg)],
             cfg,
             core_id,
             cycle: 0,
@@ -489,7 +505,7 @@ impl SmtCore {
             workload: c.workload.as_ref().map(|(name, gen)| {
                 let (spec, rng, cursor, pc, produced) = gen.save_state();
                 (
-                    name.clone(),
+                    name.to_string(),
                     StreamGenState {
                         spec,
                         rng,
@@ -535,14 +551,16 @@ impl SmtCore {
         c.tsr.force(p);
         c.workload = s.workload.as_ref().map(|(name, g)| {
             (
-                name.clone(),
+                Arc::from(name.as_str()),
                 StreamGen::restore_state(g.spec, g.rng, g.cursor, g.pc, g.produced),
             )
         });
-        c.dispatch = s.dispatch.iter().copied().collect();
-        c.completion = s.completion.clone();
+        c.dispatch.clear();
+        c.dispatch.extend(s.dispatch.iter().copied());
+        c.completion.clone_from(&s.completion);
         c.seq = s.seq;
-        c.pending = s.pending.iter().map(|&t| Reverse(t)).collect();
+        c.pending.clear();
+        c.pending.extend(s.pending.iter().map(|&t| Reverse(t)));
         c.stats = s.stats;
         c.rate_anchor = s.rate_anchor;
         c.predictor = predictor;

@@ -8,26 +8,61 @@
 //! operations in the same order — so results are bit-identical, enforced
 //! by the differential suites — but on flat, precomputed state:
 //!
+//! * **Issue masks** replace the walk of the issue window. Every queued
+//!   instruction owns bit `seq % 128` of three kinds of `u128` mask per
+//!   context: *queued*, *ready* (its dependency has completed by now)
+//!   and one per unit class. Rotating a mask right by the decode head
+//!   puts the queue in program order from bit 0, so a cycle's issues
+//!   come from `queued & ready & open` (`open`: classes with a free
+//!   unit), and its `stall_dep`, `stall_unit` and per-class conflict
+//!   counts are popcounts of the entries the walk passed over. The walk
+//!   semantics carry over exactly: the other context takes its units
+//!   first on alternate cycles; a class that saturates mid-walk blocks
+//!   only the entries after that point; the walk ends at the
+//!   `issue_width`-th issue, after `lookahead` stalled entries (each
+//!   issue shifts one more entry into the window, so only stalls use the
+//!   window up) or at a mispredict, which flushes the rest of the queue.
+//! * **Why 128 bits suffice.** The GCT rule in `can_decode` keeps the
+//!   queue within `window - MAX_DEP` sequence numbers of the decode head
+//!   (128 at the defaults), so queued entries own distinct bits; and
+//!   with `window >= MAX_DEP + decode_width` the scoreboard never
+//!   aliases a live dependency. [`HotState::for_config`] declines
+//!   configurations outside those bounds.
+//! * **Dependency wake-up.** An entry whose dependency is still queued
+//!   waits in that entry's dependents list; when the dependency issues
+//!   it files the dependents under their completion cycle in a *wake*
+//!   ring, which the issue stage of that cycle ORs into the ready mask.
+//!   Every wake cycle is also a pending completion, so the quiet skip
+//!   never jumps over one. A dependents list cannot meet a reused bit
+//!   while it is live: reuse needs 128 newer sequence numbers, which the
+//!   GCT rule forbids while the (older) dependency is still queued. A
+//!   flushed entry leaves a dead node behind (skipped: its bit is no
+//!   longer queued) and its pending wake bit is withdrawn, because its
+//!   bit comes back within ~26 cycles, well inside the latency span.
 //! * **Grant period hoisting**: the two priority indices of the
 //!   [`crate::decode::GrantLut`] are resolved once per `advance` window
 //!   ([`crate::decode::GrantLut::period`]); the per-cycle lookup is a
 //!   single `cycle & 63` load. Slot-ownership stats are accumulated in
 //!   registers and flushed per window, and skipped stretches are credited
 //!   by ranged census exactly like the generic path.
-//! * **Division-free scoreboard**: dispatch entries carry their
-//!   scoreboard slot and their dependency's slot, computed once at
-//!   decode; the issue loop does no `% window` arithmetic.
 //! * **Completion-count ring** replaces the retire [`BinaryHeap`]: all
 //!   in-flight completion times lie within `max_lat` cycles of `now`, so
-//!   a power-of-two ring of counters gives O(1) insert and O(1) retire.
-//! * **Power-of-two cache indexing**: L1 set/tag come from shifts
-//!   ([`crate::cache::Cache::pow2_index`]) instead of runtime divisions.
-//! * **Arena-style scratch**: the dispatch mirrors and rings live in
-//!   [`HotState`] and are reused across `advance` calls — the hot loop
-//!   itself performs zero heap allocation.
+//!   a power-of-two ring of counters gives O(1) insert and O(1) retire,
+//!   and an occupancy bitmap finds the next completion for the quiet
+//!   probe a word at a time.
+//! * **Decode trims**: one L1I lookup per fetch line within a decode
+//!   group — the later same-line fetches are repeat hits on the way the
+//!   first one left the line in ([`Cache::repeat_hits`]) — and L1
+//!   set/tag from shifts ([`crate::cache::Cache::pow2_index`]).
+//!   Latencies come from a per-class table; only a load or store with an
+//!   address reaches the caches.
+//! * **Arena-style scratch**: the masks, mirrors and rings live in
+//!   [`HotState`] and are reused across `advance` calls; the rings are
+//!   left empty on exit, so the engine performs no heap allocation and
+//!   clears nothing on entry.
 //!
 //! Configurations outside the envelope ([`HotState::for_config`]) — or
-//! checkpoint states whose pending times fall outside the ring span —
+//! checkpoint states the masks cannot mirror exactly ([`mirrorable`]) —
 //! decline the hot path and fall back to the generic probe-and-step
 //! loop, which remains behaviorally identical.
 //!
@@ -36,21 +71,25 @@
 //! the end of every `advance` window, so `save_state` and
 //! `execute_chunked` observe exactly the states the reference path
 //! produces.
+//!
+//! [`BinaryHeap`]: std::collections::BinaryHeap
 
 use std::cmp::Reverse;
 
 use crate::cache::{Cache, Pow2Index};
 use crate::core::{CoreConfig, Ctx, SmtCore};
 use crate::decode::{grant_census_range, GRANT_PERIOD};
-use crate::inst::{Inst, InstClass};
+use crate::inst::{Inst, InstClass, MAX_DEP};
 use crate::Cycles;
 
-/// A dispatch-buffer entry with its scoreboard geometry precomputed.
-/// Entries live in a per-context slab indexed by scoreboard slot (unique
-/// while in flight — the GCT constraint keeps the decode head within one
-/// window of the oldest entry); the program-order queue holds only the
-/// `u32` slot indices, so mid-queue removal moves a few bytes instead of
-/// whole entries.
+/// Width of the issue masks: a queued instruction owns bit
+/// `seq % MASK_BITS`.
+const MASK_BITS: u64 = 128;
+
+/// Empty link in the dependents lists.
+const NO_DEP: u8 = u8::MAX;
+
+/// A dispatch-buffer entry, stored at its mask bit.
 #[derive(Debug, Clone, Copy)]
 struct HotEntry {
     seq: u64,
@@ -59,40 +98,22 @@ struct HotEntry {
     /// bounded by the working-set size, so the sentinel is unambiguous).
     addr: u64,
     dep: u32,
-    /// Scoreboard slot of the dependency (`(seq - dep) % window`), valid
-    /// when `dep_live`.
-    dep_slot: u32,
+    /// Scoreboard slot (`seq % window`) its issue writes.
+    slot: u32,
     class: InstClass,
     taken: bool,
-    /// Whether the dependency check applies (`0 < dep <= seq` and
-    /// `dep <= window`), a pure function of the instruction and its
-    /// sequence number.
-    dep_live: bool,
 }
 
 impl HotEntry {
-    fn new(inst: Inst, seq: u64, window: u64) -> HotEntry {
-        let slot = (seq % window) as u32;
-        let dep = inst.dep;
-        let dep_live = dep > 0 && u64::from(dep) <= seq && u64::from(dep) <= window;
-        let dep_slot = if dep_live {
-            let mut d = slot + window as u32 - dep;
-            if d >= window as u32 {
-                d -= window as u32;
-            }
-            d
-        } else {
-            0
-        };
+    fn new(inst: Inst, seq: u64, slot: u32) -> HotEntry {
         HotEntry {
             seq,
             pc: inst.pc,
             addr: inst.addr.unwrap_or(u64::MAX),
-            dep,
-            dep_slot,
+            dep: inst.dep,
+            slot,
             class: inst.class,
             taken: inst.taken,
-            dep_live,
         }
     }
 
@@ -105,20 +126,233 @@ impl HotEntry {
             pc: self.pc,
         }
     }
+}
 
-    /// Filler for unoccupied slab slots; never read.
-    fn vacant() -> HotEntry {
-        HotEntry {
+/// One context's mirror of its dispatch buffer and completion heap.
+#[derive(Debug)]
+struct HotCtx {
+    /// Queued entries by mask bit.
+    slab: [HotEntry; MASK_BITS as usize],
+    /// Per mask bit: the cycle from which the entry's dependency is
+    /// satisfied — 0 without one, [`Cycles::MAX`] while the dependency
+    /// is still queued.
+    ready_at: [Cycles; MASK_BITS as usize],
+    /// Head of each entry's list of waiting dependents ([`NO_DEP`] =
+    /// empty), by mask bit.
+    dep_head: [u8; MASK_BITS as usize],
+    /// Next links of the dependents lists, by the dependent's mask bit.
+    dep_next: [u8; MASK_BITS as usize],
+    /// Bits of the queued entries.
+    queued: u128,
+    /// Bits of the queued entries whose dependency is satisfied.
+    ready: u128,
+    /// Bits of the queued entries of each unit class, by
+    /// [`InstClass::index`].
+    class: [u128; 4],
+    /// Number of queued entries.
+    len: u32,
+    /// Completion counts by `time & ring_mask`.
+    ring: Vec<u32>,
+    /// One bit per `ring` slot, set while its count is nonzero.
+    occupied: Vec<u64>,
+    /// Bits of the entries whose dependency completes at `time`, by
+    /// `time & ring_mask`.
+    wake: Vec<u128>,
+}
+
+impl HotCtx {
+    fn new(ring_len: usize) -> HotCtx {
+        let vacant = HotEntry {
             seq: 0,
             pc: 0,
             addr: u64::MAX,
             dep: 0,
-            dep_slot: 0,
+            slot: 0,
             class: InstClass::Fx,
             taken: false,
-            dep_live: false,
+        };
+        HotCtx {
+            slab: [vacant; MASK_BITS as usize],
+            ready_at: [0; MASK_BITS as usize],
+            dep_head: [NO_DEP; MASK_BITS as usize],
+            dep_next: [NO_DEP; MASK_BITS as usize],
+            queued: 0,
+            ready: 0,
+            class: [0; 4],
+            len: 0,
+            ring: vec![0; ring_len],
+            occupied: vec![0; ring_len / 64],
+            wake: vec![0; ring_len],
         }
     }
+
+    /// Queue `inst` (sequence number `seq`, scoreboard slot `slot`) at
+    /// its mask bit and resolve its dependency against the scoreboard,
+    /// exactly as the reference issue check reads it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn push(
+        &mut self,
+        inst: Inst,
+        seq: u64,
+        slot: u32,
+        completion: &[Cycles],
+        window: u32,
+        now: Cycles,
+        ring_mask: u64,
+    ) {
+        let b = (seq % MASK_BITS) as usize;
+        let bit = 1u128 << b;
+        self.slab[b] = HotEntry::new(inst, seq, slot);
+        self.dep_head[b] = NO_DEP;
+        self.queued |= bit;
+        self.class[inst.class.index()] |= bit;
+        self.len += 1;
+
+        let dep = inst.dep;
+        let t = if dep > 0 && u64::from(dep) <= seq && dep <= window {
+            let mut d = slot + window - dep;
+            if d >= window {
+                d -= window;
+            }
+            completion[d as usize]
+        } else {
+            0
+        };
+        self.ready_at[b] = t;
+        // Which of the three cases holds is data-random, so all three
+        // are written with selects: link into the dependency's list
+        // while it is queued, else ready now, else wake at `t`. (The
+        // unconditional `dep_next[b]` store is dead unless linked.)
+        let waiting = t == Cycles::MAX;
+        let d = (seq.wrapping_sub(u64::from(dep)) % MASK_BITS) as usize;
+        self.dep_next[b] = self.dep_head[d];
+        self.dep_head[d] = if waiting { b as u8 } else { self.dep_head[d] };
+        self.ready |= if t <= now { bit } else { 0 };
+        self.wake[(t & ring_mask) as usize] |= if t > now && !waiting { bit } else { 0 };
+    }
+
+    /// The entry at bit `b` issued, completing at `done`: file its
+    /// waiting dependents under `done`.
+    #[inline]
+    fn wake_dependents(&mut self, b: usize, done: Cycles, ring_mask: u64) {
+        let mut link = self.dep_head[b];
+        while link != NO_DEP {
+            let d = usize::from(link);
+            link = self.dep_next[d];
+            // A dead node (flushed dependent) has no queued bit; a queued
+            // one is the live dependent itself (module docs).
+            if self.queued >> d & 1 == 1 {
+                self.ready_at[d] = done;
+                self.wake[(done & ring_mask) as usize] |= 1 << d;
+            }
+        }
+    }
+
+    /// Drop the entries of `flushed` (rotated right by `r`) from the
+    /// queue after a mispredict resolving at `done`, writing `done` into
+    /// their scoreboard slots like the reference and withdrawing their
+    /// pending wake bits.
+    fn flush(
+        &mut self,
+        flushed: u128,
+        r: u32,
+        done: Cycles,
+        now: Cycles,
+        completion: &mut [Cycles],
+        ring_mask: u64,
+    ) {
+        let mut f = flushed;
+        while f != 0 {
+            let b = ((f.trailing_zeros() + r) % MASK_BITS as u32) as usize;
+            f &= f - 1;
+            completion[self.slab[b].slot as usize] = done;
+            let t = self.ready_at[b];
+            if t > now && t != Cycles::MAX {
+                self.wake[(t & ring_mask) as usize] &= !(1 << b);
+            }
+        }
+        let raw = flushed.rotate_left(r);
+        self.queued &= !raw;
+        self.ready &= !raw;
+        for m in &mut self.class {
+            *m &= !raw;
+        }
+        self.len -= flushed.count_ones();
+    }
+
+    /// Count a completion at `done`.
+    #[inline]
+    fn complete_at(&mut self, done: Cycles, ring_mask: u64) {
+        let s = (done & ring_mask) as usize;
+        self.ring[s] += 1;
+        self.occupied[s / 64] |= 1 << (s % 64);
+    }
+
+    /// Retire the completions counted at `now`; returns how many.
+    #[inline]
+    fn retire(&mut self, now: Cycles, ring_mask: u64) -> u32 {
+        let s = (now & ring_mask) as usize;
+        let n = self.ring[s];
+        if n > 0 {
+            self.ring[s] = 0;
+            self.occupied[s / 64] &= !(1 << (s % 64));
+        }
+        n
+    }
+
+    /// The first cycle at or after `from` with a counted completion. All
+    /// counted completions lie within one ring length of `from`, so the
+    /// answer is exact; `Cycles::MAX` when there are none.
+    fn next_completion(&self, from: Cycles, ring_mask: u64) -> Cycles {
+        let words = self.occupied.len();
+        let p = (from & ring_mask) as usize;
+        let (w0, sh) = (p / 64, p % 64);
+        let head = self.occupied[w0] >> sh;
+        if head != 0 {
+            return from + u64::from(head.trailing_zeros());
+        }
+        let mut off = (64 - sh) as u64;
+        for k in 1..=words {
+            let w = self.occupied[(w0 + k) % words];
+            if w != 0 {
+                return from + off + u64::from(w.trailing_zeros());
+            }
+            off += 64;
+        }
+        Cycles::MAX
+    }
+
+    /// Decode eligibility, identical to `SmtCore::can_decode` over the
+    /// masks: the oldest queued sequence number is `head - 128 + k`,
+    /// where `k` is the lowest bit of the queue in program order.
+    /// `base`: a workload is installed and the context is not shut off.
+    #[inline]
+    fn can_decode(&self, c: &Ctx, head: u64, now: Cycles, base: bool, cfg: &CoreConfig) -> bool {
+        base && (self.len as usize) < cfg.dispatch_buf
+            && c.fetch_stall_until <= now
+            && (self.queued == 0 || {
+                let lowest = self
+                    .queued
+                    .rotate_right((head % MASK_BITS) as u32)
+                    .trailing_zeros();
+                MASK_BITS - u64::from(lowest) + u64::from(cfg.decode_width) + u64::from(MAX_DEP)
+                    <= cfg.window as u64
+            })
+    }
+}
+
+/// The lowest `k` set bits of `m`, which has `n` set bits.
+#[inline]
+fn lowest_bits(m: u128, k: u32, n: u32) -> u128 {
+    if k >= n {
+        return m;
+    }
+    let mut rest = m;
+    for _ in 0..k {
+        rest &= rest - 1;
+    }
+    m ^ rest
 }
 
 /// Precomputed constants and reusable scratch for the hot engine.
@@ -127,208 +361,106 @@ pub(crate) struct HotState {
     /// Largest possible result latency under this configuration; bounds
     /// how far ahead of `now` a pending completion can lie.
     max_lat: Cycles,
-    /// Power-of-two completion-ring index mask (`ring length - 1`).
+    /// Power-of-two ring index mask (`ring length - 1`).
     ring_mask: u64,
     l1d_idx: Pow2Index,
     l1i_idx: Pow2Index,
-    /// Per-context entry slabs indexed by scoreboard slot.
-    slab: [Vec<HotEntry>; 2],
-    /// Per-context packed scan keys indexed by scoreboard slot:
-    /// `ready_time << 8 | class_index`. `ready_time` is 0 when the entry
-    /// has no live dependency, the dependency's completion cycle once
-    /// known, or [`SENT_READY`] while the dependency is unissued (then
-    /// the completion time is *pushed* into the key by the dependency's
-    /// own issue via the [`Self::dep_head`] list — exact, because a
-    /// resolved completion time can never change while a dependent is in
-    /// flight: the GCT constraint in `can_decode` keeps decode from
-    /// reusing a scoreboard slot any in-flight instruction may still
-    /// reference). The issue scan therefore touches only the queue and
-    /// this array — no slab or scoreboard loads on the hot path.
-    keys: [Vec<u64>; 2],
-    /// Per-context flat copy of each entry's `dep_slot`, used to
-    /// validate dependent links against slot reuse.
-    deps: [Vec<u32>; 2],
-    /// Head of the singly-linked list of *unissued* dependents per
-    /// scoreboard slot ([`NO_DEP`] = empty). When the instruction in a
-    /// slot issues, it walks this list and writes its completion time
-    /// into every live dependent's key. A link can go stale when a
-    /// mispredict flush discards the dependent and decode reuses its
-    /// slot; the walk re-validates each node (`key` still [`SENT_READY`]
-    /// and `deps` still pointing here) and a write to a vacated slot is
-    /// dead anyway — decode rewrites the slot's key before requeueing it.
-    dep_head: [Vec<u32>; 2],
-    /// Next pointers for the [`Self::dep_head`] lists, indexed by the
-    /// dependent's scoreboard slot.
-    dep_next: [Vec<u32>; 2],
-    /// Per-context program-order queues of slab indices.
-    q: [Vec<u32>; 2],
-    /// Per-context completion-count rings, indexed by `time & ring_mask`.
-    ring: [Vec<u32>; 2],
+    ctx: [HotCtx; 2],
 }
-
-/// `ready_time` marker for "dependency not yet issued" (all ones in the
-/// 56-bit ready field; real cycle counts stay far below it).
-const SENT_READY: u64 = u64::MAX >> 8;
-
-/// Empty link in the dependent lists.
-const NO_DEP: u32 = u32::MAX;
 
 impl HotState {
     /// Build the hot-engine state when the configuration fits its
     /// envelope: at least one decode slot per owned cycle (the activity
     /// probe equates "decode granted" with "instructions decoded"),
-    /// power-of-two L1 set counts, a bounded completion-latency span,
-    /// and a scoreboard window that fits 32-bit slot arithmetic.
+    /// results at least one cycle away (a dependent never wakes inside
+    /// the walk that issued its dependency), power-of-two L1 set counts,
+    /// a bounded completion-latency span, and a scoreboard window that
+    /// fits the issue masks (module docs).
     pub(crate) fn for_config(cfg: &CoreConfig, l1d: &Cache, l1i: &Cache) -> Option<Box<HotState>> {
-        if cfg.decode_width == 0 || cfg.window > 1 << 24 {
+        let window = cfg.window as u64;
+        let max_dep = u64::from(MAX_DEP);
+        if cfg.decode_width == 0
+            || window > MASK_BITS + max_dep
+            || window < max_dep + u64::from(cfg.decode_width)
+            || cfg
+                .fx_lat
+                .min(cfg.fp_lat)
+                .min(cfg.br_lat)
+                .min(cfg.l1d.hit_latency)
+                == 0
+        {
             return None;
         }
         let l1d_idx = l1d.pow2_index()?;
         let l1i_idx = l1i.pow2_index()?;
-        let max_lat = cfg
-            .fx_lat
-            .max(cfg.fp_lat)
-            .max(cfg.br_lat)
-            .max(cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.mem_lat);
-        let ring_len = (max_lat + 2).next_power_of_two();
+        let max_lat = cfg.max_latency();
+        let ring_len = (max_lat + 2).next_power_of_two().max(64);
         if ring_len > 8192 {
             return None;
         }
-        let cap = cfg.dispatch_buf + cfg.decode_width as usize;
         Some(Box::new(HotState {
             max_lat,
             ring_mask: ring_len - 1,
             l1d_idx,
             l1i_idx,
-            slab: [
-                vec![HotEntry::vacant(); cfg.window],
-                vec![HotEntry::vacant(); cfg.window],
+            ctx: [
+                HotCtx::new(ring_len as usize),
+                HotCtx::new(ring_len as usize),
             ],
-            keys: [vec![0; cfg.window], vec![0; cfg.window]],
-            deps: [vec![0; cfg.window], vec![0; cfg.window]],
-            dep_head: [vec![NO_DEP; cfg.window], vec![NO_DEP; cfg.window]],
-            dep_next: [vec![NO_DEP; cfg.window], vec![NO_DEP; cfg.window]],
-            q: [Vec::with_capacity(cap), Vec::with_capacity(cap)],
-            ring: [vec![0; ring_len as usize], vec![0; ring_len as usize]],
         }))
     }
 }
 
-/// Packed scan key for a dispatch entry: `ready_time << 8 | class_index`,
-/// with `ready_time` resolved against the context's completion scoreboard
-/// (see [`HotState::keys`]).
-#[inline]
-fn scan_key(e: &HotEntry, completion: &[Cycles]) -> u64 {
-    let ready = if e.dep_live {
-        let t = completion[e.dep_slot as usize];
+/// Whether the masks can mirror context `c` at cycle `now` exactly —
+/// always true for states this simulator produced; a foreign checkpoint
+/// could break it. Pending completions must lie within the ring span;
+/// the queue must hold ascending sequence numbers within [`MASK_BITS`]
+/// of the decode head with generator-range dependencies; and every
+/// scoreboard entry a queued or future instruction can depend on must
+/// hold either the sentinel of a queued entry or a time the wake ring
+/// can file.
+fn mirrorable(c: &Ctx, now: Cycles, window: usize, max_lat: Cycles) -> bool {
+    let in_span = |t: Cycles| t >= now && t - now <= max_lat;
+    if !c.pending.iter().all(|&Reverse(t)| in_span(t)) {
+        return false;
+    }
+    let head = c.seq;
+    let oldest = c.dispatch.front().map_or(head, |&(_, s)| s);
+    if oldest > head || head - oldest > MASK_BITS {
+        return false;
+    }
+    let mut prev = None;
+    for &(inst, s) in &c.dispatch {
+        if s >= head || prev.is_some_and(|p| s <= p) || inst.dep > MAX_DEP {
+            return false;
+        }
+        prev = Some(s);
+    }
+    let mut queued = c.dispatch.iter().map(|&(_, s)| s).peekable();
+    let lo = oldest.saturating_sub(u64::from(MAX_DEP));
+    let mut slot = (lo % window as u64) as usize;
+    for s in lo..head {
+        while queued.next_if(|&q| q < s).is_some() {}
+        let t = c.completion[slot];
         if t == Cycles::MAX {
-            SENT_READY
-        } else {
-            t
+            if queued.peek() != Some(&s) {
+                return false;
+            }
+        } else if t > now && !in_span(t) {
+            return false;
         }
-    } else {
-        0
-    };
-    (ready << 8) | e.class.index() as u64
-}
-
-/// Bitmask of unit classes whose per-cycle issue bandwidth is exhausted.
-#[inline]
-fn sat_mask(issued_now: &[u8; 4], counts: &[u8; 4]) -> u8 {
-    u8::from(issued_now[0] >= counts[0])
-        | (u8::from(issued_now[1] >= counts[1]) << 1)
-        | (u8::from(issued_now[2] >= counts[2]) << 2)
-        | (u8::from(issued_now[3] >= counts[3]) << 3)
-}
-
-/// Stall-accounting deltas accumulated by [`scan_stalls`].
-#[derive(Default)]
-struct ScanDeltas {
-    dep: u64,
-    unit: u64,
-    confl: [u64; 4],
-}
-
-/// Walk the issue window from `slot` to `end`, recording dependency and
-/// unit stalls, until an entry that can issue this cycle is found (its
-/// position is returned) or the window is exhausted (`end` is returned).
-///
-/// This is the hottest loop in the simulator — steady decode-bound
-/// windows walk nearly the whole lookahead for both contexts every
-/// cycle, almost always producing only stall counts. It lives in its
-/// own non-inlined function so the handful of values it touches stay in
-/// registers instead of sharing `advance_hot`'s giant frame; the caller
-/// performs the actual issue side effects and re-enters.
-#[inline(never)]
-fn scan_stalls(
-    q: &[u32],
-    keys: &[u64],
-    now: Cycles,
-    satm: u8,
-    mut slot: usize,
-    end: usize,
-    d: &mut ScanDeltas,
-) -> usize {
-    let mut dep = 0u64;
-    let mut unit = 0u64;
-    let mut confl = [0u64; 4];
-    // Branchless body: stall classification is data-random in steady
-    // windows and mispredicts about once per scan when branched on, so
-    // the counters are updated arithmetically. Keys are push-updated at
-    // issue time (see `HotState::dep_head`), so the loop is two loads
-    // and no stores; the only branch is the rarely-taken issue break.
-    while slot < end {
-        let es = q[slot] as usize;
-        let key = keys[es];
-        let ci = (key & 3) as usize;
-        let sd = u64::from(key >> 8 > now);
-        // The break predicate is materialized as one integer so the
-        // whole classification compiles to a single rarely-taken
-        // branch; letting the compiler split it leaves a jump on the
-        // data-random stall bit, which mispredicts about once per scan
-        // and triples the loop cost.
-        let go = std::hint::black_box(sd | u64::from((satm >> ci) & 1));
-        if go == 0 {
-            break;
-        }
-        dep += sd;
-        unit += 1 - sd;
-        confl[ci] += 1 - sd;
         slot += 1;
+        if slot == window {
+            slot = 0;
+        }
     }
-    d.dep += dep;
-    d.unit += unit;
-    for (acc, c) in d.confl.iter_mut().zip(confl) {
-        *acc += c;
-    }
-    slot
-}
-
-/// Decode eligibility, identical to `SmtCore::can_decode` expressed over
-/// the hot mirrors.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn can_dec(
-    c: &Ctx,
-    q: &[u32],
-    slab: &[HotEntry],
-    seq: u64,
-    now: Cycles,
-    base: bool,
-    buf: usize,
-    gct_slack: u64,
-    window: u64,
-) -> bool {
-    base && q.len() < buf
-        && c.fetch_stall_until <= now
-        && q.first()
-            .is_none_or(|&s| seq - slab[s as usize].seq + gct_slack <= window)
+    true
 }
 
 /// Advance `core` to `end` on the hot engine. Returns `false` — with the
 /// core untouched — when the engine does not apply (no [`HotState`] for
-/// this configuration, or restored pending times outside the ring span);
-/// the caller then runs the generic fast-forward loop.
+/// this configuration, or a state the masks cannot mirror); the caller
+/// then runs the generic fast-forward loop.
 pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
     let SmtCore {
         cfg,
@@ -350,13 +482,7 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         ring_mask,
         l1d_idx,
         l1i_idx,
-        slab,
-        keys,
-        deps,
-        dep_head,
-        dep_next,
-        q,
-        ring,
+        ctx: hctx,
     } = &mut **hot;
     let (max_lat, ring_mask, l1d_idx, l1i_idx) = (*max_lat, *ring_mask, *l1d_idx, *l1i_idx);
 
@@ -364,19 +490,12 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
     if end <= now0 {
         return true;
     }
-    // Validate before mutating anything: every pending completion must
-    // lie within the ring span (guaranteed for states this simulator
-    // produced; a foreign checkpoint could violate it).
-    for c in ctx.iter() {
-        for &Reverse(t) in c.pending.iter() {
-            if t < now0 || t - now0 > max_lat {
-                return false;
-            }
-        }
+    // Validate before mutating anything.
+    if !ctx.iter().all(|c| mirrorable(c, now0, cfg.window, max_lat)) {
+        return false;
     }
 
     // --- Hoisted per-window constants ---------------------------------
-    let window = cfg.window as u64;
     let window32 = cfg.window as u32;
     let pa = ctx[0].tsr.read();
     let pb = ctx[1].tsr.read();
@@ -388,14 +507,18 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
     let dispatch_buf = cfg.dispatch_buf;
     let decode_width = cfg.decode_width as usize;
     let issue_width = cfg.issue_width;
-    let lookahead = cfg.lookahead;
+    // The queue never holds more than `MASK_BITS` entries, so a longer
+    // lookahead is never the binding limit.
+    let lookahead = cfg.lookahead.min(MASK_BITS as usize) as u32;
     let counts = cfg.units.counts;
-    let gct_slack = u64::from(cfg.decode_width) + u64::from(crate::inst::MAX_DEP);
     let l2_hit = cfg.l2.hit_latency;
-    let (fx, fp, brl) = (cfg.fx_lat, cfg.fp_lat, cfg.br_lat);
     let l1d_hit = cfg.l1d.hit_latency;
     let l2d = l1d_hit + cfg.l2.hit_latency;
     let memlat = l2d + cfg.mem_lat;
+    // Result latency by class; a load or store with an address replaces
+    // its entry with the cache walk.
+    let lat_of = [cfg.fx_lat, cfg.fp_lat, cfg.fx_lat, cfg.br_lat];
+    let ls = InstClass::Ls.index();
     let penalty = cfg.mispredict_penalty;
 
     // --- Enter: mirror the canonical state into the flat scratch ------
@@ -403,32 +526,22 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
     let mut head = [0u32; 2];
     let mut pend = [0u32; 2];
     for i in 0..2 {
-        head[i] = (seqv[i] % window) as u32;
-        q[i].clear();
-        for h in dep_head[i].iter_mut() {
-            *h = NO_DEP;
+        let (c, h) = (&ctx[i], &mut hctx[i]);
+        head[i] = (seqv[i] % cfg.window as u64) as u32;
+        h.queued = 0;
+        h.ready = 0;
+        h.class = [0; 4];
+        h.len = 0;
+        // Ascending order: a queued dependency is pushed (and its list
+        // emptied) before any dependent links into it.
+        for &(inst, seq) in &c.dispatch {
+            let slot = (seq % cfg.window as u64) as u32;
+            h.push(inst, seq, slot, &c.completion, window32, now0, ring_mask);
         }
-        for &(inst, seq) in &ctx[i].dispatch {
-            let slot = (seq % window) as u32;
-            let e = HotEntry::new(inst, seq, window);
-            let key = scan_key(&e, &ctx[i].completion);
-            keys[i][slot as usize] = key;
-            deps[i][slot as usize] = e.dep_slot;
-            if key >> 8 == SENT_READY {
-                let ds = e.dep_slot as usize;
-                dep_next[i][slot as usize] = dep_head[i][ds];
-                dep_head[i][ds] = slot;
-            }
-            slab[i][slot as usize] = e;
-            q[i].push(slot);
+        for &Reverse(t) in c.pending.iter() {
+            h.complete_at(t, ring_mask);
         }
-        for slot in ring[i].iter_mut() {
-            *slot = 0;
-        }
-        for &Reverse(t) in ctx[i].pending.iter() {
-            ring[i][(t & ring_mask) as usize] += 1;
-        }
-        pend[i] = ctx[i].pending.len() as u32;
+        pend[i] = c.pending.len() as u32;
     }
     let (_, _, mut tot, mut confl) = units.save_state();
     let mut issued_now = [0u8; 4];
@@ -451,50 +564,41 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         let decoder: Option<(usize, bool)> = match g.owner {
             Some(owner) => {
                 let oi = owner.index();
-                if can_dec(
-                    &ctx[oi],
-                    &q[oi],
-                    &slab[oi],
-                    seqv[oi],
-                    now,
-                    can_base[oi],
-                    dispatch_buf,
-                    gct_slack,
-                    window,
-                ) {
+                if hctx[oi].can_decode(&ctx[oi], seqv[oi], now, can_base[oi], cfg) {
                     Some((oi, false))
                 } else {
                     let ti = 1 - oi;
                     let may = g.leftover_allowed || steal_cfg;
-                    (may && can_dec(
-                        &ctx[ti],
-                        &q[ti],
-                        &slab[ti],
-                        seqv[ti],
-                        now,
-                        can_base[ti],
-                        dispatch_buf,
-                        gct_slack,
-                        window,
-                    ))
-                    .then_some((ti, true))
+                    (may && hctx[ti].can_decode(&ctx[ti], seqv[ti], now, can_base[ti], cfg))
+                        .then_some((ti, true))
                 }
             }
             None => None,
         };
         if let Some((i, stolen)) = decoder {
-            let c = &mut ctx[i];
-            let qi = &mut q[i];
-            let room = dispatch_buf - qi.len();
-            let n = room.min(decode_width);
-            let (_, gen) = c.workload.as_mut().expect("can_dec checked");
+            let (c, h) = (&mut ctx[i], &mut hctx[i]);
+            let n = (dispatch_buf - h.len as usize).min(decode_width);
+            let (_, gen) = c.workload.as_mut().expect("can_decode checked");
             let mut icache_miss = false;
+            // (line, way, repeats) of the group's current fetch line.
+            let mut fetch: Option<(u64, usize, u64)> = None;
             for _ in 0..n {
                 let inst = gen.next_inst();
                 let tagged_pc = inst.pc | owner_tag[i] | (1 << 55);
-                if !l1i.access_pow2(tagged_pc, owner8[i], l1i_idx) {
-                    c.stats.l1i_misses += 1;
-                    icache_miss = true;
+                let line = l1i_idx.line(tagged_pc);
+                match &mut fetch {
+                    Some((l, _, reps)) if *l == line => *reps += 1,
+                    _ => {
+                        if let Some((_, way, reps)) = fetch {
+                            l1i.repeat_hits(way, reps);
+                        }
+                        let (hit, way) = l1i.access_pow2_way(tagged_pc, owner8[i], l1i_idx);
+                        if !hit {
+                            c.stats.l1i_misses += 1;
+                            icache_miss = true;
+                        }
+                        fetch = Some((line, way, 0));
+                    }
                 }
                 let seq = seqv[i];
                 seqv[i] += 1;
@@ -504,39 +608,11 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
                     head[i] = 0;
                 }
                 c.completion[slot as usize] = Cycles::MAX;
-                let dep = inst.dep;
-                let dep_live = dep > 0 && u64::from(dep) <= seq && u64::from(dep) <= window;
-                let dep_slot = if dep_live {
-                    let mut d = slot + window32 - dep;
-                    if d >= window32 {
-                        d -= window32;
-                    }
-                    d
-                } else {
-                    0
-                };
-                let e = HotEntry {
-                    seq,
-                    pc: inst.pc,
-                    addr: inst.addr.unwrap_or(u64::MAX),
-                    dep,
-                    dep_slot,
-                    class: inst.class,
-                    taken: inst.taken,
-                    dep_live,
-                };
-                let key = scan_key(&e, &c.completion);
-                dep_head[i][slot as usize] = NO_DEP;
-                keys[i][slot as usize] = key;
-                deps[i][slot as usize] = dep_slot;
-                if key >> 8 == SENT_READY {
-                    let ds = dep_slot as usize;
-                    dep_next[i][slot as usize] = dep_head[i][ds];
-                    dep_head[i][ds] = slot;
-                }
-                slab[i][slot as usize] = e;
-                qi.push(slot);
+                h.push(inst, seq, slot, &c.completion, window32, now, ring_mask);
                 c.stats.decoded += 1;
+            }
+            if let Some((_, way, reps)) = fetch {
+                l1i.repeat_hits(way, reps);
             }
             c.stats.slots_used += 1;
             if stolen {
@@ -551,100 +627,110 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         // Issue.
         let first = (now % 2) as usize;
         for i in [first, 1 - first] {
-            let c = &mut ctx[i];
-            let qi = &mut q[i];
-            let si = &slab[i];
-            let ki = &mut keys[i];
-            let ri = &mut ring[i];
+            let (c, h) = (&mut ctx[i], &mut hctx[i]);
+            let woken = &mut h.wake[(now & ring_mask) as usize];
+            h.ready |= *woken;
+            *woken = 0;
+            if h.queued == 0 {
+                continue;
+            }
+            // Rotated right by `r`, bit k is sequence number
+            // `head - 128 + k`: the queue in program order.
+            let r = (seqv[i] % MASK_BITS) as u32;
+            let ready = h.ready.rotate_right(r);
+            let mut open = !0u128;
+            if issued_now != [0; 4] {
+                let mut blocked = 0u128;
+                for (ci, m) in h.class.iter().enumerate() {
+                    if issued_now[ci] >= counts[ci] {
+                        blocked |= m;
+                    }
+                }
+                open = !blocked.rotate_right(r);
+            }
+            // `rest`: the entries the walk has not reached. `window`: the
+            // first `lookahead` entries, plus one more per issue (the
+            // removal shifts the next entry in); `beyond`: the others.
+            let mut rest = h.queued.rotate_right(r);
+            let mut window = lowest_bits(rest, lookahead, h.len);
+            let mut beyond = rest ^ window;
+            let mut stalled = 0u128;
             let mut issued = 0u8;
-            let mut slot = 0usize;
-            let mut d = ScanDeltas::default();
-            let mut satm = sat_mask(&issued_now, &counts);
             while issued < issue_width {
-                let scan_end = qi.len().min(lookahead);
-                slot = scan_stalls(qi, ki, now, satm, slot, scan_end, &mut d);
-                if slot >= scan_end {
+                let seen = rest & window;
+                let cand = seen & ready & open;
+                if cand == 0 {
+                    stalled |= seen;
                     break;
                 }
-                // `qi[slot]` is ready and its unit class has bandwidth:
-                // perform the issue, then resume the scan at the same
-                // position (the removal shifts the next entry into it).
-                let es = qi[slot] as usize;
-                let ci = (ki[es] & 3) as usize;
+                let low = cand & cand.wrapping_neg();
+                let before = seen & (low - 1);
+                stalled |= before;
+                rest ^= before | low;
+                let next = beyond & beyond.wrapping_neg();
+                window |= next;
+                beyond ^= next;
+                let b = ((low.trailing_zeros() + r) % MASK_BITS as u32) as usize;
+                let e = h.slab[b];
+                let ci = e.class.index();
                 issued_now[ci] += 1;
                 if issued_now[ci] >= counts[ci] {
-                    satm |= 1 << ci;
+                    open &= !h.class[ci].rotate_right(r);
                 }
                 tot[ci] += 1;
-                let e = &si[es];
-                let lat = match e.class {
-                    InstClass::Fx => fx,
-                    InstClass::Fp => fp,
-                    InstClass::Br => brl,
-                    InstClass::Ls => {
-                        if e.addr == u64::MAX {
-                            fx
-                        } else {
-                            let tagged = e.addr | owner_tag[i];
-                            if l1d.access_pow2(tagged, owner8[i], l1d_idx) {
-                                c.stats.l1_hits += 1;
-                                l1d_hit
-                            } else if l2.lock().unwrap().access(tagged, owner8[i]) {
-                                c.stats.l2_hits += 1;
-                                l2d
-                            } else {
-                                c.stats.mem_accesses += 1;
-                                memlat
-                            }
-                        }
+                let lat = if ci == ls && e.addr != u64::MAX {
+                    let tagged = e.addr | owner_tag[i];
+                    if l1d.access_pow2(tagged, owner8[i], l1d_idx) {
+                        c.stats.l1_hits += 1;
+                        l1d_hit
+                    } else if l2.lock().unwrap().access(tagged, owner8[i]) {
+                        c.stats.l2_hits += 1;
+                        l2d
+                    } else {
+                        c.stats.mem_accesses += 1;
+                        memlat
                     }
+                } else {
+                    lat_of[ci]
                 };
-                let is_br = e.class == InstClass::Br;
-                let taken = e.taken;
                 let done = now + lat;
-                qi.remove(slot);
-                c.completion[es] = done;
-                // Push the now-final completion time into every live
-                // dependent's key; each node is re-validated against
-                // slot reuse (see `HotState::dep_head`).
-                let mut link = dep_head[i][es];
-                dep_head[i][es] = NO_DEP;
-                while link != NO_DEP {
-                    let dslot = link as usize;
-                    link = dep_next[i][dslot];
-                    if ki[dslot] >> 8 == SENT_READY && deps[i][dslot] == es as u32 {
-                        ki[dslot] = (done << 8) | (ki[dslot] & 0xff);
-                    }
-                }
-                ri[(done & ring_mask) as usize] += 1;
+                h.queued &= !(1 << b);
+                h.ready &= !(1 << b);
+                h.class[ci] &= !(1 << b);
+                h.len -= 1;
+                c.completion[e.slot as usize] = done;
+                h.wake_dependents(b, done, ring_mask);
+                h.complete_at(done, ring_mask);
                 pend[i] += 1;
                 issued += 1;
                 active = true;
-                if is_br && !c.predictor.predict_and_update(taken) {
+                if e.class == InstClass::Br && !c.predictor.predict_and_update(e.taken) {
                     c.stats.br_mispredicts += 1;
-                    while qi.len() > slot {
-                        let f = qi.pop().expect("len > slot");
-                        c.completion[f as usize] = done;
-                    }
+                    h.flush(rest, r, done, now, &mut c.completion, ring_mask);
                     c.fetch_stall_until = done + penalty;
                     break;
                 }
             }
-            ddep[i] = d.dep;
-            dunit[i] = d.unit;
-            c.stats.stall_dep += d.dep;
-            c.stats.stall_unit += d.unit;
-            for (acc, delta) in confl.iter_mut().zip(d.confl) {
-                *acc += delta;
+            if stalled != 0 {
+                // Stalled entries that were ready were blocked on a unit:
+                // few per cycle, so each is charged to its class directly.
+                let mut unit = stalled & ready;
+                ddep[i] = u64::from((stalled ^ unit).count_ones());
+                while unit != 0 {
+                    let b = ((unit.trailing_zeros() + r) % MASK_BITS as u32) as usize;
+                    unit &= unit - 1;
+                    confl[h.slab[b].class.index()] += 1;
+                    dunit[i] += 1;
+                }
+                c.stats.stall_dep += ddep[i];
+                c.stats.stall_unit += dunit[i];
             }
         }
 
         // Retire.
-        let slot_r = (now & ring_mask) as usize;
         for i in 0..2 {
-            let n = ring[i][slot_r];
+            let n = hctx[i].retire(now, ring_mask);
             if n > 0 {
-                ring[i][slot_r] = 0;
                 pend[i] -= n;
                 ctx[i].stats.retired += u64::from(n);
                 active = true;
@@ -661,17 +747,7 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         let mut h = end;
         for i in 0..2 {
             if pend[i] > 0 {
-                let base = now - 1;
-                for off in 1..=max_lat {
-                    let t = base + off;
-                    if t >= h {
-                        break;
-                    }
-                    if ring[i][(t & ring_mask) as usize] > 0 {
-                        h = t;
-                        break;
-                    }
-                }
+                h = h.min(hctx[i].next_completion(now, ring_mask));
             }
             if ctx[i].fetch_stall_until > now {
                 h = h.min(ctx[i].fetch_stall_until);
@@ -680,19 +756,7 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         if h <= now {
             continue;
         }
-        let elig = [0, 1].map(|i| {
-            can_dec(
-                &ctx[i],
-                &q[i],
-                &slab[i],
-                seqv[i],
-                now,
-                can_base[i],
-                dispatch_buf,
-                gct_slack,
-                window,
-            )
-        });
+        let elig = [0, 1].map(|i| hctx[i].can_decode(&ctx[i], seqv[i], now, can_base[i], cfg));
         let mut target = h;
         if elig[0] || elig[1] {
             for off in 0..GRANT_PERIOD.min(h - now) {
@@ -721,32 +785,40 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         now = target;
     }
 
-    // --- Exit: write the flat state back into the canonical forms -----
+    // --- Exit: write the flat state back into the canonical forms and
+    // leave the rings empty for the next call -------------------------
     *cycle = now;
     for i in 0..2 {
-        let c = &mut ctx[i];
+        let (c, h) = (&mut ctx[i], &mut hctx[i]);
         c.seq = seqv[i];
         c.stats.slots_owned += owned_acc[i];
         c.dispatch.clear();
-        for &s in &q[i] {
-            let e = slab[i][s as usize];
+        let r = (seqv[i] % MASK_BITS) as u32;
+        let mut q = h.queued.rotate_right(r);
+        while q != 0 {
+            let b = ((q.trailing_zeros() + r) % MASK_BITS as u32) as usize;
+            q &= q - 1;
+            let e = h.slab[b];
             c.dispatch.push_back((e.to_inst(), e.seq));
+            let t = h.ready_at[b];
+            if t >= now && t != Cycles::MAX {
+                h.wake[(t & ring_mask) as usize] = 0;
+            }
         }
         c.pending.clear();
-        if pend[i] > 0 {
-            let mut remaining = pend[i];
-            for off in 0..=max_lat {
-                let t = now + off;
-                let cnt = ring[i][(t & ring_mask) as usize];
-                for _ in 0..cnt {
-                    c.pending.push(Reverse(t));
-                }
-                remaining -= cnt;
-                if remaining == 0 {
-                    break;
-                }
+        let mut t = now;
+        while pend[i] > 0 {
+            t = h.next_completion(t, ring_mask);
+            let n = h.retire(t, ring_mask);
+            debug_assert!(n > 0, "pending times escaped the ring span");
+            if n == 0 {
+                break;
             }
-            debug_assert_eq!(remaining, 0, "pending times escaped the ring span");
+            for _ in 0..n {
+                c.pending.push(Reverse(t));
+            }
+            pend[i] -= n;
+            t += 1;
         }
     }
     if let Some(t) = last_stepped {

@@ -212,28 +212,25 @@ impl StreamSpec {
         self.fx + self.fp + self.ls + self.br
     }
 
-    /// Class-pick lookup table for the branch-free generator path,
-    /// available when the spec never emits branch instructions (so every
-    /// instruction consumes a statically-analyzable number of rng draws)
-    /// and the mix is small enough to tabulate. `lut[pick]` reproduces
-    /// the cascaded comparisons of the generic path bit for bit.
-    fn branch_free_lut(&self) -> Option<[InstClass; 16]> {
-        let tot = self.total_weight();
-        if self.br != 0 || self.working_set == 0 || tot == 0 || tot > 16 {
-            return None;
+    /// The class a generator draw `pick` in `[0, total weight)` selects:
+    /// the weights laid end to end in FX, FP, LS, BR order.
+    fn class_of(&self, pick: u32) -> InstClass {
+        if pick < self.fx {
+            InstClass::Fx
+        } else if pick < self.fx + self.fp {
+            InstClass::Fp
+        } else if pick < self.fx + self.fp + self.ls {
+            InstClass::Ls
+        } else {
+            InstClass::Br
         }
-        let mut lut = [InstClass::Fx; 16];
-        for (i, slot) in lut.iter_mut().enumerate().take(tot as usize) {
-            let i = i as u32;
-            *slot = if i < self.fx {
-                InstClass::Fx
-            } else if i < self.fx + self.fp {
-                InstClass::Fp
-            } else {
-                InstClass::Ls
-            };
-        }
-        Some(lut)
+    }
+
+    /// [`StreamSpec::class_of`] tabulated for the first [`CLASS_TABLE`]
+    /// draws: for a mix whose total weight is at most that, one load
+    /// replaces the data-random cascade of comparisons.
+    fn class_table(&self) -> [InstClass; CLASS_TABLE] {
+        std::array::from_fn(|pick| self.class_of(pick as u32))
     }
 
     /// Fraction of instructions in each class, indexed by
@@ -366,6 +363,11 @@ pub const BR_TAKEN_RATE: f64 = 0.875;
 /// Expected mispredict ratio of the gshare predictor on the generated
 /// outcome stream (the exceptions are random, so they miss).
 pub const BR_MISS_RATE: f64 = 1.0 - BR_TAKEN_RATE;
+/// [`BR_TAKEN_RATE`] as a bound on a raw draw: `unit_f64() <
+/// BR_TAKEN_RATE` exactly when the draw is below this. `unit_f64` scales
+/// the draw's top 53 bits exactly and `BR_TAKEN_RATE * 2^53` is an
+/// integer, so the float test and the integer one agree on every draw.
+const TAKEN_BELOW: u64 = 0xE000_0000_0000_0000;
 /// Front-end redirect penalty per mispredicted branch (cycles), mirrored
 /// by `CoreConfig::mispredict_penalty`.
 pub const BR_MISS_PENALTY: f64 = 12.0;
@@ -394,6 +396,10 @@ fn wrap_mod(x: u64, m: u64) -> u64 {
     }
 }
 
+/// Entries of a generator's class table: mixes whose weights sum to at
+/// most this pick their class with one table load.
+const CLASS_TABLE: usize = 32;
+
 /// Deterministic infinite instruction generator.
 #[derive(Debug, Clone)]
 pub struct StreamGen {
@@ -402,9 +408,17 @@ pub struct StreamGen {
     cursor: u64,
     pc: u64,
     produced: u64,
-    /// Class lookup for the branch-free path (`None` entries disable it);
-    /// derived from `spec`, never checkpointed.
-    lut: Option<[InstClass; 16]>,
+    /// [`StreamSpec::class_table`] of `spec`, consulted when `tabled`;
+    /// derived, never checkpointed (like the two flags).
+    classes: [InstClass; CLASS_TABLE],
+    /// Whether every draw falls inside `classes` (total weight at most
+    /// [`CLASS_TABLE`]).
+    tabled: bool,
+    /// Whether the branch-free path applies: the mix is tabled, has a
+    /// class weight, never emits branches (so every instruction consumes
+    /// a statically known number of rng draws) and walks a working set.
+    /// An all-zero mix picks `Br` for every draw, so it stays generic.
+    branch_free: bool,
 }
 
 impl StreamGen {
@@ -415,14 +429,7 @@ impl StreamGen {
         } else {
             0
         };
-        StreamGen {
-            spec,
-            rng,
-            cursor,
-            pc: 0,
-            produced: 0,
-            lut: spec.branch_free_lut(),
-        }
+        StreamGen::restore_state(spec, rng.state(), cursor, 0, 0)
     }
 
     /// Number of instructions generated so far.
@@ -452,31 +459,31 @@ impl StreamGen {
         pc: u64,
         produced: u64,
     ) -> StreamGen {
+        let tabled = spec.total_weight() as usize <= CLASS_TABLE;
         StreamGen {
             spec,
             rng: SplitMix64::new(rng_state),
             cursor,
             pc,
             produced,
-            lut: spec.branch_free_lut(),
+            classes: spec.class_table(),
+            tabled,
+            branch_free: tabled && spec.total_weight() > 0 && spec.br == 0 && spec.working_set > 0,
         }
     }
 
     /// Generate the next instruction.
+    #[inline]
     pub fn next_inst(&mut self) -> Inst {
-        if let Some(lut) = self.lut {
-            return self.next_inst_branch_free(&lut);
+        if self.branch_free {
+            return self.next_inst_branch_free();
         }
         let tot = u64::from(self.spec.total_weight().max(1));
         let pick = self.rng.below(tot) as u32;
-        let class = if pick < self.spec.fx {
-            InstClass::Fx
-        } else if pick < self.spec.fx + self.spec.fp {
-            InstClass::Fp
-        } else if pick < self.spec.fx + self.spec.fp + self.spec.ls {
-            InstClass::Ls
+        let class = if self.tabled {
+            self.classes[pick as usize % CLASS_TABLE]
         } else {
-            InstClass::Br
+            self.spec.class_of(pick)
         };
 
         let addr = if class == InstClass::Ls && self.spec.working_set > 0 {
@@ -501,7 +508,7 @@ impl StreamGen {
         let dep = (1 + self.rng.below(2 * mean) as u32).min(MAX_DEP);
 
         // Branch outcome: loop-biased taken with random exceptions.
-        let taken = class != InstClass::Br || self.rng.unit_f64() < BR_TAKEN_RATE;
+        let taken = class != InstClass::Br || self.rng.next_u64() < TAKEN_BELOW;
 
         // Code address: 4 bytes per instruction, jumping within the code
         // footprint on taken branches (loop back-edges and calls).
@@ -524,7 +531,7 @@ impl StreamGen {
     }
 
     /// Branch-free transcription of [`StreamGen::next_inst`] for specs
-    /// without branch instructions (see [`StreamSpec::branch_free_lut`]).
+    /// without branch instructions (see [`StreamGen::branch_free`]).
     ///
     /// The generic path's class/jump branches are data-random and
     /// mispredict roughly once per instruction, which made generation
@@ -535,11 +542,11 @@ impl StreamGen {
     /// the state advances by exactly the number of draws the generic
     /// path would have consumed — the produced stream and the rng state
     /// walk are bit-identical, which the stream-equivalence tests pin.
-    fn next_inst_branch_free(&mut self, lut: &[InstClass; 16]) -> Inst {
+    fn next_inst_branch_free(&mut self) -> Inst {
         let spec = &self.spec;
         let tot = u64::from(spec.total_weight().max(1));
         let pick = SplitMix64::reduce(self.rng.peek(0), tot) as usize;
-        let class = lut[pick & 15];
+        let class = self.classes[pick % CLASS_TABLE];
         let is_ls = class == InstClass::Ls;
         let p1 = self.rng.peek(1);
         let p2 = self.rng.peek(2);
@@ -728,7 +735,103 @@ mod tests {
         assert!(big.l2_miss > 0.25, "64 MiB overflows L2: {}", big.l2_miss);
     }
 
+    #[test]
+    fn taken_bound_matches_the_float_test() {
+        let float = |x: u64| (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < BR_TAKEN_RATE;
+        assert_eq!(TAKEN_BELOW as f64, BR_TAKEN_RATE * 2f64.powi(64));
+        for x in [0, TAKEN_BELOW - 2049, TAKEN_BELOW - 2048, TAKEN_BELOW - 1]
+            .into_iter()
+            .chain([TAKEN_BELOW, TAKEN_BELOW + 1, u64::MAX])
+        {
+            assert_eq!(float(x), x < TAKEN_BELOW, "draw {x:#x}");
+        }
+        let mut rng = SplitMix64::new(7);
+        for _ in 0..100_000 {
+            let x = rng.next_u64();
+            assert_eq!(float(x), x < TAKEN_BELOW, "draw {x:#x}");
+        }
+    }
+
+    /// The generator's draw schedule written out the plain way: cascaded
+    /// class comparisons and the float branch-outcome test.
+    fn reference_stream(spec: StreamSpec, n: usize) -> Vec<Inst> {
+        let mut rng = SplitMix64::new(spec.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
+        let ws = spec.working_set;
+        let mut cursor = if ws > 0 { rng.below(ws) } else { 0 };
+        let mut pc = 0;
+        let code_bytes = u64::from(spec.code_kb.max(1)) * 1024;
+        (0..n)
+            .map(|_| {
+                let pick = rng.below(u64::from(spec.total_weight().max(1))) as u32;
+                let class = if pick < spec.fx {
+                    InstClass::Fx
+                } else if pick < spec.fx + spec.fp {
+                    InstClass::Fp
+                } else if pick < spec.fx + spec.fp + spec.ls {
+                    InstClass::Ls
+                } else {
+                    InstClass::Br
+                };
+                let addr = (class == InstClass::Ls && ws > 0).then(|| {
+                    cursor = if rng.below(4) == 0 {
+                        rng.below(ws)
+                    } else {
+                        (cursor + 8) % ws
+                    };
+                    cursor
+                });
+                let dep = (1 + rng.below(2 * u64::from(spec.dep_dist.max(1))) as u32).min(MAX_DEP);
+                let taken = class != InstClass::Br || rng.unit_f64() < BR_TAKEN_RATE;
+                let this = pc;
+                pc = if class == InstClass::Br && taken {
+                    rng.below(code_bytes) & !3
+                } else {
+                    (pc + 4) % code_bytes
+                };
+                Inst {
+                    class,
+                    addr,
+                    dep,
+                    taken,
+                    pc: this,
+                }
+            })
+            .collect()
+    }
+
+    /// A mix with every class weight at zero draws `Br` every time, so
+    /// it must take the branchy path even though no `br` weight is set.
+    #[test]
+    fn all_zero_mix_with_working_set_matches_reference_schedule() {
+        let spec = StreamSpec {
+            fx: 0,
+            fp: 0,
+            ls: 0,
+            br: 0,
+            dep_dist: 3,
+            working_set: 4096,
+            code_kb: 4,
+            seed: 11,
+        };
+        let mut g = spec.generator();
+        let got: Vec<Inst> = (0..400).map(|_| g.next_inst()).collect();
+        assert_eq!(got, reference_stream(spec, 400));
+    }
+
     proptest! {
+        /// Every generator path — class table or cascade, branch-free or
+        /// branchy — emits the stream of the plain draw schedule.
+        #[test]
+        fn prop_generator_matches_reference_schedule(
+            fx in 0u32..12, fp in 0u32..12, ls in 0u32..12, br in 0u32..6,
+            dep in 1u32..20, ws in 0u64..(1 << 20), code_kb in 1u32..64, seed in 0u64..1_000,
+        ) {
+            let spec = StreamSpec { fx, fp, ls, br, dep_dist: dep, working_set: ws, code_kb, seed };
+            let mut g = spec.generator();
+            let got: Vec<Inst> = (0..400).map(|_| g.next_inst()).collect();
+            prop_assert_eq!(got, reference_stream(spec, 400));
+        }
+
         /// Profiles are always finite and in range for arbitrary specs.
         #[test]
         fn prop_profile_sane(

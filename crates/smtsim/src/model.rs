@@ -14,6 +14,8 @@
 //! The OS/machine layer (`mtb-oskernel`) drives cores exclusively through
 //! this trait, so experiments can swap fidelity for speed.
 
+use std::sync::Arc;
+
 use crate::inst::StreamSpec;
 use crate::priority::HwPriority;
 use crate::state::CoreState;
@@ -87,10 +89,13 @@ impl WorkloadProfile {
 
 /// A unit of schedulable work: a named instruction stream plus its derived
 /// steady-state profile.
+///
+/// Cloning is cheap and never allocates: the name is shared. The kernel
+/// re-installs a context's workload every time a noise handler exits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Diagnostic name (e.g. `"metbench-fpu"`).
-    pub name: String,
+    pub name: Arc<str>,
     /// Generator specification for the cycle-level model.
     pub stream: StreamSpec,
     /// Steady-state profile for the mesoscale model.
@@ -100,7 +105,7 @@ pub struct Workload {
 impl Workload {
     /// Build a workload from a stream spec, deriving the profile
     /// analytically.
-    pub fn from_spec(name: impl Into<String>, stream: StreamSpec) -> Workload {
+    pub fn from_spec(name: impl Into<Arc<str>>, stream: StreamSpec) -> Workload {
         let profile = stream.profile();
         Workload {
             name: name.into(),
@@ -112,7 +117,7 @@ impl Workload {
     /// Build a workload with an explicitly provided profile (e.g. one
     /// calibrated against the cycle model).
     pub fn with_profile(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         stream: StreamSpec,
         profile: WorkloadProfile,
     ) -> Workload {

@@ -536,7 +536,7 @@ fn dec_stream_spec(j: &Json) -> R<StreamSpec> {
 
 fn dec_workload(j: &Json) -> R<Workload> {
     Ok(Workload {
-        name: dec_string(field(j, "name")?)?,
+        name: dec_string(field(j, "name")?)?.into(),
         stream: dec_stream_spec(field(j, "stream")?)?,
         profile: WorkloadProfile {
             ipc_st: dec_f64(field(j, "ipc_st")?)?,
