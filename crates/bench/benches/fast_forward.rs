@@ -20,10 +20,10 @@
 //! iteration; the throughput line is per core-cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use mtb_oskernel::machine::spin_workload;
 use mtb_smtsim::decode::{grant_census_range, GrantLut, GRANT_PERIOD};
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{CoreModel, ThreadId, Workload};
+use mtb_smtsim::pairmodel::spin_workload;
 use mtb_smtsim::{CoreConfig, HwPriority, SmtCore};
 use mtb_workloads::loads::{btmz_load, metbench_load, siesta_load};
 

@@ -12,7 +12,7 @@ use mtb_bench::harness::run_static;
 use mtb_core::balance::StaticRun;
 use mtb_core::mapper::{block_placement, striped_placement};
 use mtb_core::policy::PrioritySetting;
-use mtb_core::predictor::best_priority_pair;
+use mtb_smtsim::pairmodel::best_pair;
 use mtb_trace::cycles_to_seconds;
 use mtb_workloads::btmz::{contiguous_partition, BtMzConfig};
 use mtb_workloads::loads;
@@ -50,9 +50,9 @@ fn main() {
     let mut prios = vec![PrioritySetting::Default; 8];
     for core in 0..4 {
         let (a, b) = (2 * core, 2 * core + 1);
-        let (pa, pb, _) = best_priority_pair(&profile, &profile, work[a], work[b], 2);
-        prios[a] = PrioritySetting::ProcFs(pa);
-        prios[b] = PrioritySetting::ProcFs(pb);
+        let (pa, pb, _) = best_pair(&profile, &profile, work[a], work[b], 2);
+        prios[a] = PrioritySetting::ProcFs(pa.value());
+        prios[b] = PrioritySetting::ProcFs(pb.value());
     }
     let block_prio = run(block_placement(8), prios);
 

@@ -15,9 +15,9 @@ use mtb_core::balance::StaticRun;
 use mtb_core::mapper::pair_by_load;
 use mtb_core::paper_cases::btmz_cases;
 use mtb_core::policy::PrioritySetting;
-use mtb_core::predictor::best_priority_pair;
 use mtb_core::redistribution::{lpt, moved_items, partition_imbalance_pct, redistribution_cycles};
 use mtb_mpisim::comm::LatencyModel;
+use mtb_smtsim::pairmodel::best_pair;
 use mtb_trace::cycles_to_seconds;
 use mtb_workloads::btmz::{contiguous_partition, zone_sizes, BtMzConfig};
 use mtb_workloads::loads;
@@ -71,9 +71,9 @@ fn main() {
     for core in 0..2 {
         let ranks: Vec<usize> = (0..4).filter(|&r| placement[r].core == core).collect();
         let (a, b) = (ranks[0], ranks[1]);
-        let (pa, pb, _) = best_priority_pair(&profile, &profile, work[a], work[b], 2);
-        priorities[a] = PrioritySetting::ProcFs(pa);
-        priorities[b] = PrioritySetting::ProcFs(pb);
+        let (pa, pb, _) = best_pair(&profile, &profile, work[a], work[b], 2);
+        priorities[a] = PrioritySetting::ProcFs(pa.value());
+        priorities[b] = PrioritySetting::ProcFs(pb.value());
     }
     let combined =
         run_static(StaticRun::new(&cfg_lpt.programs(), placement).with_priorities(priorities))
@@ -137,9 +137,9 @@ fn main() {
     for core in 0..2 {
         let ranks: Vec<usize> = (0..4).filter(|&r| placement_c[r].core == core).collect();
         let (a, b) = (ranks[0], ranks[1]);
-        let (pa, pb, _) = best_priority_pair(&profile, &profile, work_c[a], work_c[b], 2);
-        prios_c[a] = PrioritySetting::ProcFs(pa);
-        prios_c[b] = PrioritySetting::ProcFs(pb);
+        let (pa, pb, _) = best_pair(&profile, &profile, work_c[a], work_c[b], 2);
+        prios_c[a] = PrioritySetting::ProcFs(pa.value());
+        prios_c[b] = PrioritySetting::ProcFs(pb.value());
     }
     let combined_c =
         run_static(StaticRun::new(&cfg_coarse.programs(), placement_c).with_priorities(prios_c))

@@ -10,8 +10,8 @@ use mtb_bench::harness::run_static;
 use mtb_core::balance::StaticRun;
 use mtb_core::mapper::pair_by_load;
 use mtb_core::policy::PrioritySetting;
-use mtb_core::predictor::best_priority_pair;
 use mtb_oskernel::CtxAddr;
+use mtb_smtsim::pairmodel::best_pair;
 use mtb_trace::{cycles_to_seconds, Table};
 use mtb_workloads::btmz::BtMzConfig;
 use mtb_workloads::loads;
@@ -56,9 +56,9 @@ fn main() {
         for core in 0..cores {
             let pair: Vec<usize> = (0..ranks).filter(|&r| placement[r].core == core).collect();
             let (a, b) = (pair[0], pair[1]);
-            let (pa, pb, _) = best_priority_pair(&profile, &profile, w[a], w[b], 2);
-            prios[a] = PrioritySetting::ProcFs(pa);
-            prios[b] = PrioritySetting::ProcFs(pb);
+            let (pa, pb, _) = best_pair(&profile, &profile, w[a], w[b], 2);
+            prios[a] = PrioritySetting::ProcFs(pa.value());
+            prios[b] = PrioritySetting::ProcFs(pb.value());
         }
         let balanced = run_static(
             StaticRun::new(&progs, placement)

@@ -3,37 +3,33 @@
 //! The application experiments (Tables IV-VI) run on the mesoscale
 //! throughput model; this binary quantifies how well it tracks the
 //! cycle-level core across workload mixes and priority pairs — per-thread
-//! IPC from both models side by side, with the relative error.
+//! IPC from both models side by side, with the relative error. The meso
+//! column is `pairmodel::pair_rates`, the rates the predictor, the lints
+//! and the controller evaluate.
 
 use mtb_smtsim::calibrate::calibrated_workload;
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{CoreModel, ThreadId, Workload};
-use mtb_smtsim::perfmodel::{MesoConfig, MesoCore};
+use mtb_smtsim::pairmodel::pair_rates;
 use mtb_smtsim::{CoreConfig, HwPriority, SmtCore};
 use mtb_trace::Table;
 
 const WARMUP: u64 = 400_000;
 const MEASURE: u64 = 200_000;
 
+fn prio(p: u8) -> HwPriority {
+    HwPriority::new(p).unwrap()
+}
+
 fn cycle_ipcs(wa: &Workload, wb: &Workload, pa: u8, pb: u8) -> [f64; 2] {
     let mut core = SmtCore::new(CoreConfig::default());
     core.assign(ThreadId::A, wa.clone());
     core.assign(ThreadId::B, wb.clone());
-    core.set_priority(ThreadId::A, HwPriority::new(pa).unwrap());
-    core.set_priority(ThreadId::B, HwPriority::new(pb).unwrap());
+    core.set_priority(ThreadId::A, prio(pa));
+    core.set_priority(ThreadId::B, prio(pb));
     core.advance(WARMUP);
     let [a, b] = core.advance(MEASURE);
     [a as f64 / MEASURE as f64, b as f64 / MEASURE as f64]
-}
-
-fn meso_ipcs(wa: &Workload, wb: &Workload, pa: u8, pb: u8) -> [f64; 2] {
-    let mut core = MesoCore::new(MesoConfig::default());
-    core.assign(ThreadId::A, wa.clone());
-    core.assign(ThreadId::B, wb.clone());
-    core.set_priority(ThreadId::A, HwPriority::new(pa).unwrap());
-    core.set_priority(ThreadId::B, HwPriority::new(pb).unwrap());
-    let r = core.throughputs();
-    [r[0], r[1]]
 }
 
 fn main() {
@@ -92,7 +88,7 @@ fn main() {
     for (label, wa, wb) in &all {
         for &(pa, pb) in &[(4u8, 4u8), (5, 4), (6, 4), (6, 2), (4, 1), (7, 0)] {
             let cyc = cycle_ipcs(wa, wb, pa, pb);
-            let meso = meso_ipcs(wa, wb, pa, pb);
+            let meso = pair_rates(&wa.profile, &wb.profile, prio(pa), prio(pb));
             let err = |c: f64, m: f64| {
                 if c < 0.05 && m < 0.05 {
                     0.0

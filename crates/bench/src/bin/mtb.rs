@@ -17,11 +17,11 @@
 //!     --kernel vanilla --noise 5
 //! ```
 
-use mtb_bench::harness::{config_hash_static, run_static};
-use mtb_core::balance::{execute_with, prepare, StaticRun};
-use mtb_core::dynamic::DynamicBalancer;
+use mtb_bench::harness::{config_hash_static, run_static, SweepRunner};
+use mtb_core::balance::{prepare, StaticRun};
 use mtb_core::paper_cases::{self, Case};
 use mtb_core::policy::PrioritySetting;
+use mtb_core::ControllerConfig;
 use mtb_mpisim::engine::RunResult;
 use mtb_mpisim::program::Program;
 use mtb_mpisim::{NullObserver, Stepping};
@@ -55,7 +55,8 @@ APPS:   metbench | btmz | siesta | synthetic
 RUN OPTIONS:
     --case <ST|A|B|C|D>     paper case configuration     [default: A]
     --kernel <patched|vanilla>                           [default: patched]
-    --dynamic               drive priorities with the feedback balancer
+    --dynamic               drive priorities (and remaps) with the
+                            two-level controller
     --noise <duty-pct>      CPU0 device-IRQ duty cycle (0-50)
     --scale <f>             work multiplier               [default: 1.0]
     --iterations <n>        override the iteration count
@@ -117,7 +118,8 @@ TABLE-DYNAMIC OPTIONS:
 
 BENCH OPTIONS:
     --smoke                 CI-sized cycle counts (seconds, not minutes)
-    --out <path>            report destination        [default: BENCH_sim.json]
+    --out <path>            report destination        [default: BENCH_sim.json,
+                            BENCH_smoke.json with --smoke]
 
 PARALLELISM:
     MTB_JOBS=<n>            total worker-thread budget (default: CPU count).
@@ -237,7 +239,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if let Some(path) = opts.get("resume") {
         if flags.iter().any(|f| f == "dynamic") {
             eprintln!(
-                "--resume cannot drive the dynamic balancer (its state is not in the snapshot)"
+                "--resume cannot drive the dynamic controller (its state is not in the snapshot)"
             );
             return ExitCode::FAILURE;
         }
@@ -258,16 +260,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 
     let result = if flags.iter().any(|f| f == "dynamic") {
-        let mut balancer = DynamicBalancer::with_defaults(&case.placement);
-        let r = execute_with(run, &mut balancer);
-        if let Ok(ref _r) = r {
-            println!(
-                "dynamic policy: {} adjustments, {} reverts",
-                balancer.adjustments(),
-                balancer.reverts()
-            );
-        }
-        r
+        SweepRunner::global()
+            .run_dynamic(run, &ControllerConfig::default())
+            .map(|(r, stats)| {
+                println!(
+                    "dynamic policy: {} adjustments, {} reverts, {} remaps",
+                    stats.adjustments, stats.reverts, stats.remaps
+                );
+                r
+            })
     } else {
         run_static(run)
     };
@@ -403,10 +404,13 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
     };
     let smoke = flags.iter().any(|f| f == "smoke");
-    let out = opts
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_sim.json");
+    // A smoke report must not overwrite the committed full-run record.
+    let default_out = if smoke {
+        "BENCH_smoke.json"
+    } else {
+        "BENCH_sim.json"
+    };
+    let out = opts.get("out").map_or(default_out, String::as_str);
     let report = mtb_bench::perf::run(smoke);
     print!("{}", report.render());
     if let Err(e) = report.write(std::path::Path::new(out)) {

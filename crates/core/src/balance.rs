@@ -25,8 +25,7 @@ pub enum BalanceError {
     /// out-of-range ranks, collective mismatch, deadlock, livelock).
     Sim(SimError),
     /// The pre-flight static analysis found errors before any cycle was
-    /// simulated (debug builds with the `verify` feature, the default).
-    #[cfg(feature = "verify")]
+    /// simulated (debug builds only).
     Verify(mtb_verify::Report),
 }
 
@@ -35,7 +34,6 @@ impl fmt::Display for BalanceError {
         match self {
             BalanceError::Priority(e) => write!(f, "{e}"),
             BalanceError::Sim(e) => write!(f, "{e}"),
-            #[cfg(feature = "verify")]
             BalanceError::Verify(r) => write!(f, "pre-flight verification failed:\n{r}"),
         }
     }
@@ -46,7 +44,6 @@ impl std::error::Error for BalanceError {
         match self {
             BalanceError::Priority(e) => Some(e),
             BalanceError::Sim(e) => Some(e),
-            #[cfg(feature = "verify")]
             BalanceError::Verify(r) => Some(r),
         }
     }
@@ -224,7 +221,6 @@ impl<'a> StaticRun<'a> {
     }
 
     /// The run expressed as a `mtb-verify` case for pre-flight linting.
-    #[cfg(feature = "verify")]
     pub fn as_case_spec(&self) -> mtb_verify::CaseSpec {
         let mut priorities: Vec<mtb_verify::PrioritySpec> = self
             .priorities
@@ -246,17 +242,15 @@ impl<'a> StaticRun<'a> {
 
     /// Static analysis of the run (communication graph + priority
     /// configuration), independent of whether pre-flight is active.
-    #[cfg(feature = "verify")]
     pub fn verify(&self) -> mtb_verify::Report {
         mtb_verify::verify(self.programs, &self.as_case_spec())
     }
 }
 
-/// Pre-flight static analysis: in debug builds (with the default
-/// `verify` feature) refuse runs the analyzer can prove broken before a
-/// single cycle is simulated. Warnings (e.g. predicted inversions —
-/// experiments reproduce those on purpose) never block.
-#[cfg(feature = "verify")]
+/// Pre-flight static analysis: in debug builds refuse runs the analyzer
+/// can prove broken before a single cycle is simulated. Warnings (e.g.
+/// predicted inversions — experiments reproduce those on purpose) never
+/// block.
 fn preflight(run: &StaticRun<'_>) -> Result<(), BalanceError> {
     if !cfg!(debug_assertions) {
         return Ok(());
@@ -265,11 +259,6 @@ fn preflight(run: &StaticRun<'_>) -> Result<(), BalanceError> {
     if report.has_errors() {
         return Err(BalanceError::Verify(report));
     }
-    Ok(())
-}
-
-#[cfg(not(feature = "verify"))]
-fn preflight(_run: &StaticRun<'_>) -> Result<(), BalanceError> {
     Ok(())
 }
 
@@ -418,7 +407,6 @@ mod tests {
         assert!(inverted.total_cycles > base.total_cycles);
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn preflight_rejects_deadlocking_programs_before_simulation() {
         use mtb_mpisim::ProgramBuilder;
@@ -445,7 +433,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn preflight_warnings_do_not_block_execution() {
         // Overboosting (difference 4) draws PRIO-DIFF / PRIO-INVERT

@@ -42,6 +42,8 @@ use crate::observe::ProgressModel;
 use mtb_mpisim::engine::{Observer, RankWindow};
 use mtb_oskernel::Machine;
 use mtb_smtsim::model::WorkloadProfile;
+use mtb_smtsim::pairmodel::{best_pair, pair_rates};
+use mtb_smtsim::HwPriority;
 use mtb_trace::Cycles;
 
 /// Tunables of the dynamic policy.
@@ -82,7 +84,6 @@ impl Default for DynamicConfig {
     }
 }
 
-#[cfg(feature = "verify")]
 impl DynamicConfig {
     /// Lint the tunables against the paper's safe-operation envelope.
     /// `max_diff` beyond the Table IV bound, inverted thresholds, or a
@@ -213,7 +214,7 @@ pub struct DynamicBalancer {
     /// per-iteration load swings cannot fire spurious reverts.
     plan_prev: Vec<f64>,
     /// Per-rank workload profiles: when present, pair targets come from
-    /// the Table II/III decode-share model ([`crate::predictor`]) instead
+    /// the Table II/III pair model ([`mtb_smtsim::pairmodel`]) instead
     /// of the fixed ratio ladder.
     profiles: Option<Vec<WorkloadProfile>>,
     /// Current applied priority per rank.
@@ -345,9 +346,13 @@ impl DynamicBalancer {
         let mut sa = self.smooth[a] * self.weight(a);
         let mut sb = self.smooth[b] * self.weight(b);
         if let Some(profiles) = &self.profiles {
-            if let (Some(pa), Some(pb)) = (profiles.get(a), profiles.get(b)) {
-                let (ra, rb) =
-                    crate::predictor::predict_pair(pa, pb, self.current[a], self.current[b]);
+            if let (Some(wa), Some(wb), Some(pa), Some(pb)) = (
+                profiles.get(a),
+                profiles.get(b),
+                HwPriority::new(self.current[a]),
+                HwPriority::new(self.current[b]),
+            ) {
+                let [ra, rb] = pair_rates(wa, wb, pa, pb);
                 if ra > 0.0 && rb > 0.0 {
                     sa *= ra;
                     sb *= rb;
@@ -473,13 +478,14 @@ impl DynamicBalancer {
         }
         if let Some(profiles) = &self.profiles {
             if let (Some(ph), Some(pl)) = (profiles.get(heavy), profiles.get(light)) {
-                let (th, tl, _) = crate::predictor::best_priority_pair(
+                let (th, tl, _) = best_pair(
                     ph,
                     pl,
                     wh.max(1.0) as u64,
                     wl.max(1.0) as u64,
                     self.cfg.max_diff,
                 );
+                let (th, tl) = (th.value(), tl.value());
                 // Shift so the lighter side sits at MEDIUM (decode share
                 // depends on the difference, not the absolute level).
                 let shift = 4 - i16::from(th.min(tl));
@@ -666,7 +672,6 @@ impl Default for ControllerConfig {
     }
 }
 
-#[cfg(feature = "verify")]
 impl ControllerConfig {
     /// Lint the two-level tunables: everything [`DynamicConfig::lint`]
     /// checks, plus the convergence-lag bound ([`MTB-CTRL-LAG`]) against
@@ -784,7 +789,6 @@ impl TwoLevelController {
     /// through the same Table II/III decode-share model the engine uses.
     /// Falls back to observation-only control when the ranks' sync
     /// structures admit no common epoch grid.
-    #[cfg(feature = "verify")]
     pub fn for_programs(
         programs: &[mtb_mpisim::Program],
         placement: &[mtb_oskernel::CtxAddr],
@@ -839,7 +843,7 @@ impl TwoLevelController {
         if !self.cfg.pinned
             && self.remaps < self.cfg.max_remaps
             && n > 0
-            && n.is_multiple_of(2)
+            && n % 2 == 0
             && n <= cores * 2
             && (0..n).all(|r| machine.pcb(r).is_some())
         {
@@ -883,7 +887,7 @@ impl TwoLevelController {
         let loads = self.balancer.smoothed();
         let n = loads.len();
         let cores = machine.num_contexts() / 2;
-        if n == 0 || !n.is_multiple_of(2) || n > cores * 2 {
+        if n == 0 || n % 2 != 0 || n > cores * 2 {
             return;
         }
         // Per-core load split from the live placement.
@@ -959,7 +963,7 @@ impl Observer for TwoLevelController {
                 return;
             }
         }
-        if !self.epochs_seen.is_multiple_of(self.cfg.window.max(1)) {
+        if self.epochs_seen % self.cfg.window.max(1) != 0 {
             return;
         }
         let agg: Vec<RankWindow> = self
@@ -1232,7 +1236,6 @@ mod tests {
         assert_eq!(ctl.remaps(), 0, "pinned placements are never migrated");
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn model_driven_controller_stays_within_the_priority_envelope() {
         let cfg = MetBenchConfig {
@@ -1251,7 +1254,6 @@ mod tests {
         assert!(p.iter().all(|&v| (1..=6).contains(&v)), "{p:?}");
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn controller_lint_flags_lag_and_pinned_remap() {
         use mtb_verify::{codes, Severity};
@@ -1295,7 +1297,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn config_lint_flags_unsafe_tunables() {
         use mtb_verify::{codes, Severity};

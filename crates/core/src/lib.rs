@@ -19,9 +19,6 @@
 //!   controller that equalizes progress against the static plan's
 //!   expectation and remaps ranks across cores when intra-core tuning
 //!   saturates.
-//! * [`predictor`] — a what-if model over the decode-share mathematics:
-//!   predicts per-rank speed at candidate priority pairs and picks the
-//!   pair minimizing the core's makespan.
 //! * [`mapper`] — core-pairing heuristics (pair the heaviest rank with the
 //!   lightest, Section VII-B's mapping argument).
 //! * [`observe`] — epoch-window recording for offline analysis of
@@ -44,7 +41,6 @@ pub mod mapper;
 pub mod observe;
 pub mod paper_cases;
 pub mod policy;
-pub mod predictor;
 pub mod redistribution;
 pub mod remap;
 
@@ -57,4 +53,3 @@ pub use dynamic::{ControllerConfig, DynamicBalancer, DynamicConfig, TwoLevelCont
 pub use mapper::pair_by_load;
 pub use observe::ProgressModel;
 pub use policy::PrioritySetting;
-pub use predictor::{best_priority_pair, predict_pair};

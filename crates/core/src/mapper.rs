@@ -25,7 +25,7 @@ use mtb_oskernel::CtxAddr;
 /// Panics if the rank count is odd or exceeds `2 * cores`.
 pub fn pair_by_load(work: &[u64], cores: usize) -> Vec<CtxAddr> {
     let n = work.len();
-    assert!(n.is_multiple_of(2), "need an even rank count to pair");
+    assert!(n % 2 == 0, "need an even rank count to pair");
     assert!(n <= cores * 2, "not enough hardware contexts");
 
     let mut order: Vec<usize> = (0..n).collect();

@@ -48,7 +48,6 @@ impl ProgressModel {
     /// Derive the expectation table from the programs themselves via the
     /// static analyzer's per-phase profiles. `None` when the ranks'
     /// sync structures disagree (no common epoch grid exists).
-    #[cfg(feature = "verify")]
     pub fn from_programs(programs: &[mtb_mpisim::Program]) -> Option<ProgressModel> {
         let profiles = mtb_verify::infer_profiles(programs);
         let epochs = profiles.first()?.phases.len();
@@ -293,7 +292,6 @@ mod tests {
         assert!(d[0] <= 4.0, "deficit clamp: {d:?}");
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn progress_model_derives_from_metbench_programs() {
         let cfg = MetBenchConfig {

@@ -122,7 +122,7 @@ impl Observer for AdaptiveMapper {
         // Desired pairing from observed loads.
         let loads: Vec<u64> = self.smooth.iter().map(|&s| s as u64).collect();
         let n = loads.len();
-        if !n.is_multiple_of(2) {
+        if n % 2 != 0 {
             return; // odd rank counts are not pairable
         }
         let cores = machine.num_contexts() / 2;

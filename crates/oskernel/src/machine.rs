@@ -25,6 +25,7 @@ use crate::priority_iface::{validate, PriorityError, SetVia};
 use crate::process::{CtxAddr, Pcb, ProcRunState};
 use mtb_pool::ShardedRunner;
 use mtb_smtsim::model::{CoreModel, Workload};
+use mtb_smtsim::pairmodel::spin_workload;
 use mtb_smtsim::{HwPriority, PrivilegeLevel, ThreadId};
 use mtb_trace::Cycles;
 
@@ -152,30 +153,6 @@ pub enum Segmentation {
     /// linear scan for the next boundary and an O(contexts × sources)
     /// scan to sync handler state. Kept as the differential reference.
     Reference,
-}
-
-/// The busy-wait loop MPI blocking calls execute: a short cache-resident
-/// load/compare/branch loop. It retires nothing useful but *consumes the
-/// context's decode share* — the paper's motivation for lowering the
-/// priority of processes that are "spinning for a lock, polling, etc."
-/// (Section VI).
-pub fn spin_workload() -> Workload {
-    use mtb_smtsim::inst::StreamSpec;
-    use mtb_smtsim::model::WorkloadProfile;
-    Workload::with_profile(
-        "mpi-spin",
-        StreamSpec {
-            fx: 4,
-            fp: 0,
-            ls: 3,
-            br: 3,
-            dep_dist: 4,
-            working_set: 256,
-            code_kb: 1,
-            seed: 0x5049,
-        },
-        WorkloadProfile::new(2.0, 0.1, 0.0),
-    )
 }
 
 /// The simulated machine.

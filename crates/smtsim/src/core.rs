@@ -263,7 +263,7 @@ impl SmtCore {
             // fit in the scoreboard ring, or a new sentinel would clobber
             // a live dependency slot (out-of-order drain can let a
             // stalled oldest instruction fall arbitrarily far behind).
-            && c.dispatch.front().is_none_or(|&(_, oldest)| {
+            && c.dispatch.front().map_or(true, |&(_, oldest)| {
                 c.seq - oldest
                     + u64::from(self.cfg.decode_width)
                     + u64::from(crate::inst::MAX_DEP)
@@ -354,7 +354,7 @@ impl SmtCore {
         // --- Issue ----------------------------------------------------
         self.units.begin_cycle(now);
         // Alternate which context gets first pick of the shared units.
-        let first = if now.is_multiple_of(2) { 0 } else { 1 };
+        let first = if now % 2 == 0 { 0 } else { 1 };
         for &i in &[first, 1 - first] {
             let mut issued = 0;
             let mut slot = 0;

@@ -93,11 +93,11 @@ pub fn slot_grant(a: HwPriority, b: HwPriority, cycle: Cycles) -> SlotGrant {
         },
         // 0 vs 1: the live context gets 1 of 32 cycles.
         (0, 1) => SlotGrant {
-            owner: cycle.is_multiple_of(32).then_some(ThreadId::B),
+            owner: (cycle % 32 == 0).then_some(ThreadId::B),
             leftover_allowed: false,
         },
         (1, 0) => SlotGrant {
-            owner: cycle.is_multiple_of(32).then_some(ThreadId::A),
+            owner: (cycle % 32 == 0).then_some(ThreadId::A),
             leftover_allowed: false,
         },
         // Power-save mode: each context gets 1 of 64 cycles.

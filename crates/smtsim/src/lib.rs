@@ -23,6 +23,10 @@
 //!   same [`model::CoreModel`] interface, calibrated against the cycle
 //!   model; the system-level simulator uses it so that minutes of simulated
 //!   machine time stay cheap.
+//! * [`pairmodel`] — the two-phase pair model over the same equations
+//!   (co-run, then the survivor against the finisher's MPI spin loop) and
+//!   the spin workload itself: the one model the predictor, the lints,
+//!   the plan search and the dynamic controller evaluate.
 //!
 //! Everything is deterministic: no wall clock, no global state, seeded
 //! stream generation.
@@ -38,6 +42,7 @@ pub mod decode;
 pub(crate) mod hot;
 pub mod inst;
 pub mod model;
+pub mod pairmodel;
 pub mod perfmodel;
 pub mod priority;
 pub mod rng;

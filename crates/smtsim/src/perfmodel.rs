@@ -32,7 +32,7 @@
 use std::cell::Cell;
 
 use crate::decode::{decode_share, decode_share_linear};
-use crate::model::{CoreModel, ThreadId, Workload};
+use crate::model::{CoreModel, ThreadId, Workload, WorkloadProfile};
 use crate::priority::HwPriority;
 use crate::state::{CoreState, MesoCoreState, MesoCtxState};
 use crate::Cycles;
@@ -86,6 +86,87 @@ impl Default for MesoConfig {
     }
 }
 
+impl MesoConfig {
+    /// Steady-state throughputs (instructions/cycle) of two contexts at
+    /// priorities `prio` running the workloads profiled in `work` (`None`
+    /// = no workload). A context is live while it holds a workload and its
+    /// priority is not OFF. This is the one statement of the throughput
+    /// equations: [`MesoCore`] executes it and [`crate::pairmodel`]
+    /// predicts with it.
+    pub fn rates(&self, prio: [HwPriority; 2], work: [Option<&WorkloadProfile>; 2]) -> [f64; 2] {
+        let w = self.decode_width;
+        let (sa, sb) = self.share_law.shares(prio[0], prio[1]);
+        let shares = [sa, sb];
+
+        let live = [0, 1].map(|i| work[i].filter(|_| !prio[i].is_off()));
+        let mut caps = [0.0f64; 2];
+        for i in 0..2 {
+            let Some(prof) = live[i] else {
+                continue;
+            };
+            let j = 1 - i;
+            caps[i] = if let Some(other) = live[j] {
+                // The POWER5 priority mechanism gates *resources*, not just
+                // decode: a context holding a small decode share occupies
+                // proportionally fewer issue-queue entries and cache MSHRs,
+                // so the pressure it exerts on its sibling scales with its
+                // share (1.0 at the equal-priority 50/50 split).
+                let pollution = (2.0 * shares[j]).min(1.0);
+                prof.ipc_st
+                    * (1.0
+                        - pollution
+                            * (self.unit_contention * other.unit_pressure
+                                + self.mem_contention * other.mem_intensity))
+                        .max(0.05)
+            } else {
+                prof.ipc_st
+            };
+        }
+
+        // Base consumption under hard shares.
+        let base = [caps[0].min(w * shares[0]), caps[1].min(w * shares[1])];
+
+        let mut rates = [0.0f64; 2];
+        for i in 0..2 {
+            if live[i].is_none() {
+                continue;
+            }
+            let j = 1 - i;
+            // Slots the co-runner owns but does not consume.
+            let unused_j = if live[j].is_some() {
+                (w * shares[j] - base[j]).max(0.0)
+            } else {
+                // A workless context consumes nothing; its whole share is
+                // up for grabs (it still *owns* the slots unless its
+                // priority is 0, in which case decode_share gave it 0).
+                w * shares[j]
+            };
+            let kappa = self.kappa(prio[i], prio[j]);
+            rates[i] = caps[i].min(w * shares[i] + kappa * unused_j);
+        }
+        rates
+    }
+
+    /// Steal coefficient for a context at priority `pi` picking up the
+    /// unused slots of a co-runner at `pj`.
+    fn kappa(&self, pi: HwPriority, pj: HwPriority) -> f64 {
+        let (pi, pj) = (pi.value(), pj.value());
+        if pi == 1 && pj > 1 {
+            // Table III: "takes what is left over" — full leftover use.
+            1.0
+        } else if pi >= 1 && pj == 0 {
+            // ST mode: decode_share already grants everything; no stealing
+            // needed (and nothing to steal).
+            0.0
+        } else if pi <= 1 || pj <= 1 {
+            // Power-save and other degenerate modes: strict.
+            0.0
+        } else {
+            self.steal_efficiency
+        }
+    }
+}
+
 /// Slack added before `floor` when converting fractional progress to whole
 /// instructions, so products like `0.3 * 700.0` that land an ulp below an
 /// integer still count it. Small enough to never span a real instruction.
@@ -118,6 +199,10 @@ impl MesoCtx {
 
     fn live(&self) -> bool {
         self.workload.is_some() && !self.priority.is_off()
+    }
+
+    fn profile(&self) -> Option<&WorkloadProfile> {
+        self.workload.as_ref().map(|w| &w.profile)
     }
 
     /// Fractional progress since the anchor at absolute cycle `cycle`,
@@ -202,84 +287,12 @@ impl MesoCore {
     }
 
     /// Steady-state throughputs (instructions/cycle) of both contexts under
-    /// the current priorities and workloads. Pure function of the current
-    /// configuration; exposed for the balancer's what-if predictor.
+    /// the current priorities and workloads: [`MesoConfig::rates`] of the
+    /// current configuration.
     pub fn throughputs(&self) -> [f64; 2] {
-        let w = self.cfg.decode_width;
-        let pa = self.ctx[0].priority;
-        let pb = self.ctx[1].priority;
-        let (sa, sb) = self.cfg.share_law.shares(pa, pb);
-        let shares = [sa, sb];
-
-        let live = [self.ctx[0].live(), self.ctx[1].live()];
-        let mut caps = [0.0f64; 2];
-        for i in 0..2 {
-            if !live[i] {
-                continue;
-            }
-            let prof = &self.ctx[i].workload.as_ref().expect("live").profile;
-            let j = 1 - i;
-            caps[i] = if live[j] {
-                let other = &self.ctx[j].workload.as_ref().expect("live").profile;
-                // The POWER5 priority mechanism gates *resources*, not just
-                // decode: a context holding a small decode share occupies
-                // proportionally fewer issue-queue entries and cache MSHRs,
-                // so the pressure it exerts on its sibling scales with its
-                // share (1.0 at the equal-priority 50/50 split).
-                let pollution = (2.0 * shares[j]).min(1.0);
-                prof.ipc_st
-                    * (1.0
-                        - pollution
-                            * (self.cfg.unit_contention * other.unit_pressure
-                                + self.cfg.mem_contention * other.mem_intensity))
-                        .max(0.05)
-            } else {
-                prof.ipc_st
-            };
-        }
-
-        // Base consumption under hard shares.
-        let base = [caps[0].min(w * shares[0]), caps[1].min(w * shares[1])];
-
-        let mut rates = [0.0f64; 2];
-        for i in 0..2 {
-            if !live[i] {
-                continue;
-            }
-            let j = 1 - i;
-            // Slots the co-runner owns but does not consume.
-            let unused_j = if live[j] {
-                (w * shares[j] - base[j]).max(0.0)
-            } else {
-                // A workless context consumes nothing; its whole share is
-                // up for grabs (it still *owns* the slots unless its
-                // priority is 0, in which case decode_share gave it 0).
-                w * shares[j]
-            };
-            let kappa = self.kappa(i);
-            rates[i] = caps[i].min(w * shares[i] + kappa * unused_j);
-        }
-        rates
-    }
-
-    /// Steal coefficient for context `i` picking up the co-runner's unused
-    /// slots.
-    fn kappa(&self, i: usize) -> f64 {
-        let pi = self.ctx[i].priority.value();
-        let pj = self.ctx[1 - i].priority.value();
-        if pi == 1 && pj > 1 {
-            // Table III: "takes what is left over" — full leftover use.
-            1.0
-        } else if pi >= 1 && pj == 0 {
-            // ST mode: decode_share already grants everything; no stealing
-            // needed (and nothing to steal).
-            0.0
-        } else if pi <= 1 || pj <= 1 {
-            // Power-save and other degenerate modes: strict.
-            0.0
-        } else {
-            self.cfg.steal_efficiency
-        }
+        let [a, b] = &self.ctx;
+        self.cfg
+            .rates([a.priority, b.priority], [a.profile(), b.profile()])
     }
 
     /// [`MesoCore::throughputs`] under the current configuration, through
@@ -466,7 +479,6 @@ impl CoreModel for MesoCore {
 mod tests {
     use super::*;
     use crate::inst::StreamSpec;
-    use crate::model::WorkloadProfile;
     use proptest::prelude::*;
 
     fn p(v: u8) -> HwPriority {

@@ -16,6 +16,7 @@ use mtb_mpisim::collective::EpochKind;
 use mtb_mpisim::interp::{flatten, flatten_symbolic, path_string, FlatOp, SymOp, SymOpKind};
 use mtb_mpisim::program::Stmt;
 use mtb_mpisim::{Program, Rank, Tag};
+use mtb_smtsim::pairmodel::SPIN_PROFILE;
 
 /// Run every communication check over one program per rank.
 pub fn check_programs(programs: &[Program]) -> Report {
@@ -625,16 +626,14 @@ pub fn rank_loads(programs: &[Program]) -> Vec<crate::prio::RankLoad> {
             for op in flatten(prog, rank) {
                 if let FlatOp::Compute(ws) = op {
                     work += ws.instructions;
-                    if dominant.is_none_or(|(w, _)| ws.instructions > w) {
+                    if dominant.map_or(true, |(w, _)| ws.instructions > w) {
                         dominant = Some((ws.instructions, ws.workload.profile));
                     }
                 }
             }
             crate::prio::RankLoad {
                 work,
-                profile: dominant
-                    .map(|(_, p)| p)
-                    .unwrap_or_else(|| mtb_smtsim::model::WorkloadProfile::new(2.0, 0.1, 0.0)),
+                profile: dominant.map_or(SPIN_PROFILE, |(_, p)| p),
             }
         })
         .collect()

@@ -28,10 +28,7 @@ use crate::diag::{codes, Diagnostic, Report, Severity};
 use crate::prio::{self, CaseSpec, RankLoad};
 use crate::profile::{corun_interference, IlpClass, RankProfile};
 use mtb_oskernel::CtxAddr;
-use mtb_smtsim::inst::StreamSpec;
-use mtb_smtsim::model::{CoreModel, ThreadId, Workload};
-use mtb_smtsim::perfmodel::{MesoConfig, MesoCore};
-use mtb_smtsim::HwPriority;
+use mtb_smtsim::pairmodel::solo_rate;
 
 /// One candidate static configuration: placement plus effective hardware
 /// priorities (1..=6, the OS-settable range), indexed by rank.
@@ -77,18 +74,6 @@ pub struct Prediction {
     /// Spread between the slowest and fastest core as a percentage of
     /// the mean core time.
     pub imbalance_pct: f64,
-}
-
-/// Throughput of a rank running alone on a core (the sibling context has
-/// no workload; its unconsumed decode share is partially stolen).
-fn solo_rate(profile: &mtb_smtsim::model::WorkloadProfile) -> f64 {
-    let mut core = MesoCore::new(MesoConfig::default());
-    core.assign(
-        ThreadId::A,
-        Workload::with_profile("solo", StreamSpec::balanced(0), *profile),
-    );
-    core.set_priority(ThreadId::A, HwPriority::new(4).expect("medium is legal"));
-    core.throughputs()[0]
 }
 
 /// Group ranks by the core they are placed on, ascending core id, ranks
@@ -363,7 +348,7 @@ pub fn check_plan(case: &CaseSpec, profiles: &[RankProfile]) -> Report {
             if let Some(p) = predict(profiles, &plan.placement, &plan.priorities) {
                 if best_alternative
                     .as_ref()
-                    .is_none_or(|(_, t)| p.makespan < *t)
+                    .map_or(true, |(_, t)| p.makespan < *t)
                 {
                     best_alternative = Some((plan, p.makespan));
                 }
@@ -419,6 +404,7 @@ mod tests {
     use mtb_mpisim::ProgramBuilder;
     use mtb_oskernel::KernelFlavour;
     use mtb_smtsim::model::Workload;
+    use mtb_smtsim::StreamSpec;
 
     /// Four ranks, work 1x/4x/1x/4x, three barrier epochs. The streams
     /// are decode-hungry (high ILP) so priorities actually move the

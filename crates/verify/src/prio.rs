@@ -12,9 +12,8 @@
 use crate::diag::{codes, Diagnostic, Report, Severity};
 use mtb_oskernel::priority_iface::{validate, SetVia};
 use mtb_oskernel::{CtxAddr, KernelFlavour};
-use mtb_smtsim::inst::StreamSpec;
-use mtb_smtsim::model::{CoreModel, ThreadId, Workload, WorkloadProfile};
-use mtb_smtsim::perfmodel::{MesoConfig, MesoCore};
+use mtb_smtsim::model::WorkloadProfile;
+use mtb_smtsim::pairmodel::pair_makespan;
 use mtb_smtsim::{HwPriority, PrivilegeLevel};
 
 /// How a rank's priority is requested — mirrors
@@ -225,60 +224,22 @@ pub(crate) fn core_pairs(placement: &[CtxAddr]) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Decode-share throughputs of a profile pair at a priority pair,
-/// through the same mesoscale equations the engine uses.
-pub(crate) fn pair_rates(a: &WorkloadProfile, b: &WorkloadProfile, pa: u8, pb: u8) -> (f64, f64) {
-    let mut core = MesoCore::new(MesoConfig::default());
-    core.assign(
-        ThreadId::A,
-        Workload::with_profile("a", StreamSpec::balanced(0), *a),
-    );
-    core.assign(
-        ThreadId::B,
-        Workload::with_profile("b", StreamSpec::balanced(1), *b),
-    );
-    let clamp = |p: u8| HwPriority::new(p.clamp(1, 7)).expect("clamped in range");
-    core.set_priority(ThreadId::A, clamp(pa));
-    core.set_priority(ThreadId::B, clamp(pb));
-    let r = core.throughputs();
-    (r[0], r[1])
-}
-
-/// The busy-wait loop a finished rank spins in (matches the engine's
-/// spin workload): the core is NOT freed by the early finisher.
-fn spin_profile() -> WorkloadProfile {
-    WorkloadProfile::new(2.0, 0.1, 0.0)
-}
-
-/// Two-phase makespan of a core pair: both compute until the faster
-/// finishes, then the survivor runs against the finisher's spin loop.
+/// Two-phase makespan of a core pair ([`pair_makespan`]): both compute
+/// until the faster finishes, then the survivor runs against the
+/// finisher's spin loop. Raw priorities clamp into 1..=7 (a priority-0
+/// rank is reported as starving by the legality lints, not modelled).
 /// Returns `(makespan, last_to_finish)` where `last_to_finish` is 0 for
 /// thread a, 1 for b. `None` when a rate is zero (starved pair).
 pub(crate) fn makespan(la: &RankLoad, lb: &RankLoad, pa: u8, pb: u8) -> Option<(f64, usize)> {
-    let (ra, rb) = pair_rates(&la.profile, &lb.profile, pa, pb);
-    if ra <= 0.0 || rb <= 0.0 {
-        return None;
-    }
-    let ta = la.work as f64 / ra;
-    let tb = lb.work as f64 / rb;
-    if (ta - tb).abs() < f64::EPSILON {
-        return Some((ta, 1));
-    }
-    if ta < tb {
-        let (_, r_surv) = pair_rates(&spin_profile(), &lb.profile, pa, pb);
-        if r_surv <= 0.0 {
-            return None;
-        }
-        let left = lb.work as f64 - ta * rb;
-        Some((ta + left.max(0.0) / r_surv, 1))
-    } else {
-        let (r_surv, _) = pair_rates(&la.profile, &spin_profile(), pa, pb);
-        if r_surv <= 0.0 {
-            return None;
-        }
-        let left = la.work as f64 - tb * ra;
-        Some((tb + left.max(0.0) / r_surv, 0))
-    }
+    let clamp = |p: u8| HwPriority::new(p.clamp(1, 7));
+    pair_makespan(
+        &la.profile,
+        &lb.profile,
+        la.work,
+        lb.work,
+        clamp(pa)?,
+        clamp(pb)?,
+    )
 }
 
 /// Does the pair `(pa, pb)` invert the compute imbalance relative to the

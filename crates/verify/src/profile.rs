@@ -37,6 +37,7 @@ use mtb_smtsim::inst::{
     L1_LAT, L2_BYTES, L2_LAT, MEM_LAT, UNITS,
 };
 use mtb_smtsim::model::WorkloadProfile;
+use mtb_smtsim::pairmodel::SPIN_PROFILE;
 
 /// ILP class per *ILP Aware Scheduling*: how much of the core's decode
 /// bandwidth the thread can convert into retirement when running alone.
@@ -152,12 +153,6 @@ impl RankProfile {
     }
 }
 
-/// The profile a compute-free rank (or phase) reports: the MPI busy-wait
-/// spin loop, matching the fallback in [`crate::comm::rank_loads`].
-fn spin() -> WorkloadProfile {
-    WorkloadProfile::new(2.0, 0.1, 0.0)
-}
-
 /// Classify which analytic bound binds a stream spec, mirroring the
 /// bound combination in [`StreamSpec::profile`].
 pub fn classify_bound(spec: &StreamSpec) -> Boundedness {
@@ -228,7 +223,7 @@ impl PhaseAcc {
         if self
             .dominant
             .as_ref()
-            .is_none_or(|(w, _, _)| ws.instructions > *w)
+            .map_or(true, |(w, _, _)| ws.instructions > *w)
         {
             self.dominant = Some((ws.instructions, ws.workload.stream, ws.workload.profile));
         }
@@ -246,7 +241,7 @@ impl PhaseAcc {
         };
         let (profile, bound) = match &self.dominant {
             Some((_, spec, prof)) => (*prof, classify_bound(spec)),
-            None => (spin(), Boundedness::Decode),
+            None => (SPIN_PROFILE, Boundedness::Decode),
         };
         PhaseProfile {
             epoch,
@@ -301,7 +296,7 @@ fn infer_rank(rank: usize, prog: &Program) -> RankProfile {
     let (profile, bound) = if work > 0 {
         (dominant.profile, dominant.bound)
     } else {
-        (spin(), Boundedness::Decode)
+        (SPIN_PROFILE, Boundedness::Decode)
     };
     RankProfile {
         rank,
@@ -437,7 +432,7 @@ mod tests {
     fn empty_rank_reports_the_spin_profile() {
         let p = infer_profiles(&[ProgramBuilder::new().build()]).remove(0);
         assert_eq!(p.work, 0);
-        assert_eq!(p.profile, WorkloadProfile::new(2.0, 0.1, 0.0));
+        assert_eq!(p.profile, SPIN_PROFILE);
     }
 
     #[test]

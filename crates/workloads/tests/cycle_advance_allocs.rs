@@ -11,9 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mtb_oskernel::machine::spin_workload;
 use mtb_smtsim::chip::{build_cores_grouped, Fidelity};
 use mtb_smtsim::model::ThreadId;
+use mtb_smtsim::pairmodel::spin_workload;
 use mtb_smtsim::{CoreConfig, HwPriority};
 use mtb_workloads::loads::{btmz_load, metbench_load, siesta_load};
 

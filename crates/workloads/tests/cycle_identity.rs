@@ -7,9 +7,9 @@
 //! chunk, so a slip in any cache stamp, predictor entry, scoreboard slot
 //! or counter fails the test where it happens.
 
-use mtb_oskernel::machine::spin_workload;
 use mtb_smtsim::chip::{build_cores_grouped, Fidelity};
 use mtb_smtsim::model::{ThreadId, Workload};
+use mtb_smtsim::pairmodel::spin_workload;
 use mtb_smtsim::state::CoreState;
 use mtb_smtsim::{CoreConfig, HwPriority};
 use mtb_workloads::loads::{btmz_load, metbench_load, siesta_load};

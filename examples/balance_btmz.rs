@@ -8,8 +8,7 @@
 
 use mtbalance::workloads::btmz::BtMzConfig;
 use mtbalance::{
-    best_priority_pair, cycles_to_seconds, execute, pair_by_load, CtxAddr, PrioritySetting,
-    StaticRun,
+    best_pair, cycles_to_seconds, execute, pair_by_load, CtxAddr, PrioritySetting, StaticRun,
 };
 
 fn main() {
@@ -44,7 +43,8 @@ fn main() {
     for core in 0..2 {
         let ranks: Vec<usize> = (0..4).filter(|&r| placement[r].core == core).collect();
         let (a, b) = (ranks[0], ranks[1]);
-        let (pa, pb, predicted) = best_priority_pair(&profile, &profile, work[a], work[b], 2);
+        let (pa, pb, predicted) = best_pair(&profile, &profile, work[a], work[b], 2);
+        let (pa, pb) = (pa.value(), pb.value());
         println!(
             "core {core}: ranks {a}/{b} -> priorities {pa}/{pb} (predicted {:.2}s)",
             predicted / mtbalance::trace::NOMINAL_CLOCK_HZ

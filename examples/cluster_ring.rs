@@ -8,9 +8,7 @@
 
 use mtbalance::balance::mapper::{block_placement, striped_placement};
 use mtbalance::workloads::btmz::{contiguous_partition, BtMzConfig};
-use mtbalance::{
-    best_priority_pair, cycles_to_seconds, execute, CtxAddr, PrioritySetting, StaticRun,
-};
+use mtbalance::{best_pair, cycles_to_seconds, execute, CtxAddr, PrioritySetting, StaticRun};
 
 fn main() {
     // Eight ranks over the 16 BT-MZ zones, with hefty boundary exchanges
@@ -57,9 +55,9 @@ fn main() {
     let mut prios = vec![PrioritySetting::Default; 8];
     for core in 0..4 {
         let (a, b) = (2 * core, 2 * core + 1);
-        let (pa, pb, _) = best_priority_pair(&profile, &profile, work[a], work[b], 2);
-        prios[a] = PrioritySetting::ProcFs(pa);
-        prios[b] = PrioritySetting::ProcFs(pb);
+        let (pa, pb, _) = best_pair(&profile, &profile, work[a], work[b], 2);
+        prios[a] = PrioritySetting::ProcFs(pa.value());
+        prios[b] = PrioritySetting::ProcFs(pb.value());
     }
     let best = run("block + predictor priorities", block_placement(8), prios);
 

@@ -23,7 +23,7 @@ struct LoggingBalancer {
 impl Observer for LoggingBalancer {
     fn on_epoch(&mut self, epoch: usize, windows: &[RankWindow], machine: &mut Machine) {
         self.inner.on_epoch(epoch, windows, machine);
-        if epoch.is_multiple_of(self.log_every) {
+        if epoch % self.log_every == 0 {
             let bottleneck = windows.iter().max_by_key(|w| w.compute).unwrap();
             println!(
                 "epoch {epoch:>3}: bottleneck P{} ({:.1} Mcycles), priorities {:?}",

@@ -9,8 +9,8 @@
 
 use mtbalance::workloads::loads::metbench_load;
 use mtbalance::{
-    cycles_to_seconds, execute, predict_makespan, CtxAddr, PrioritySetting, ProgramBuilder,
-    StaticRun, Table, WorkSpec,
+    cycles_to_seconds, execute, pair_makespan, CtxAddr, HwPriority, PrioritySetting,
+    ProgramBuilder, StaticRun, Table, WorkSpec,
 };
 
 fn main() {
@@ -36,6 +36,7 @@ fn main() {
     ])
     .with_title("priority sweep: heavy rank with 4x the work of its core-mate");
 
+    let prio = |p: u8| HwPriority::new(p).expect("OS-settable priority");
     let mut best = (4u8, 4u8, f64::INFINITY);
     for ph in 2..=6u8 {
         for pl in 2..=6u8 {
@@ -50,9 +51,16 @@ fn main() {
             )
             .unwrap();
             let sim = cycles_to_seconds(run.total_cycles);
-            let pred =
-                predict_makespan(&load.profile, &load.profile, work_heavy, work_light, ph, pl)
-                    / mtbalance::trace::NOMINAL_CLOCK_HZ;
+            let pred = pair_makespan(
+                &load.profile,
+                &load.profile,
+                work_heavy,
+                work_light,
+                prio(ph),
+                prio(pl),
+            )
+            .map_or(f64::INFINITY, |(t, _)| t)
+                / mtbalance::trace::NOMINAL_CLOCK_HZ;
             if sim < best.2 {
                 best = (ph, pl, sim);
             }

@@ -54,11 +54,11 @@ pub use mtb_core::dynamic::{DynamicBalancer, DynamicConfig};
 pub use mtb_core::mapper::pair_by_load;
 pub use mtb_core::paper_cases;
 pub use mtb_core::policy::PrioritySetting;
-pub use mtb_core::predictor::{best_priority_pair, predict_makespan, predict_pair};
 pub use mtb_core::redistribution;
 pub use mtb_mpisim::engine::{Engine, Observer, RankWindow, RunResult, SimConfig};
 pub use mtb_mpisim::program::{Program, ProgramBuilder, TracePhase, WorkSpec};
 pub use mtb_oskernel::{CtxAddr, KernelConfig, Machine, NoiseSource, Topology, WaitPolicy};
 pub use mtb_smtsim::model::{Workload, WorkloadProfile};
+pub use mtb_smtsim::pairmodel::{best_pair, pair_makespan, pair_rates};
 pub use mtb_smtsim::{HwPriority, StreamSpec};
 pub use mtb_trace::{cycles_to_seconds, render_gantt, GanttConfig, RunMetrics, Table};

@@ -5,8 +5,7 @@ use mtbalance::workloads::loads;
 use mtbalance::workloads::metbench::MetBenchConfig;
 use mtbalance::workloads::siesta::SiestaConfig;
 use mtbalance::{
-    best_priority_pair, execute, execute_with, DynamicBalancer, DynamicConfig, PrioritySetting,
-    StaticRun,
+    best_pair, execute, execute_with, DynamicBalancer, DynamicConfig, PrioritySetting, StaticRun,
 };
 
 #[test]
@@ -79,7 +78,8 @@ fn predictor_choice_matches_simulated_optimum_for_metbench_pair() {
 
     let work0 = cfg.work_of(0) * u64::from(cfg.iterations);
     let work1 = cfg.work_of(1) * u64::from(cfg.iterations);
-    let (p0, p1, _) = best_priority_pair(&load.profile, &load.profile, work0, work1, 2);
+    let (p0, p1, _) = best_pair(&load.profile, &load.profile, work0, work1, 2);
+    let (p0, p1) = (p0.value(), p1.value());
     assert!(p1 > p0, "the heavy rank gets the boost: ({p0},{p1})");
 
     let simulate = |a: u8, b: u8| {
