@@ -1,5 +1,5 @@
 //! ABL-1 companion bench: simulation throughput of the two core models.
-//! The `fidelity` binary reports their *agreement*; this reports their
+//! `mtb ext fidelity` reports their *agreement*; this reports their
 //! *speed* — the justification for using the mesoscale model in the
 //! application experiments (it is several orders of magnitude faster per
 //! simulated cycle).

@@ -1,6 +1,6 @@
 //! End-to-end simulation cost of regenerating each paper table (at reduced
 //! workload scale, so a bench iteration stays in the milliseconds). The
-//! full-scale tables are produced by the `tableN` binaries.
+//! full-scale tables are produced by `mtb tables N`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mtb_bench::run_cases;

@@ -2,36 +2,39 @@
 //!
 //! ```text
 //! mtb run --app <metbench|btmz|siesta|synthetic> [options]
-//! mtb tables [1..6|all]
+//! mtb tables [1..6|all] [--gantt]
+//! mtb ext [NAME]
 //! mtb sweep --app <app>
 //! mtb help
 //! ```
 //!
 //! Run any of the paper's workloads under any case configuration, kernel
-//! flavour, noise level and balancing policy from the command line:
+//! flavour, noise level and balancing policy from the command line, or
+//! regenerate any table, figure or extension experiment:
 //!
 //! ```sh
 //! cargo run -p mtb-bench --release --bin mtb -- run --app btmz --case D --gantt
 //! cargo run -p mtb-bench --release --bin mtb -- run --app siesta --dynamic
 //! cargo run -p mtb-bench --release --bin mtb -- run --app metbench --case C \
 //!     --kernel vanilla --noise 5
+//! cargo run -p mtb-bench --release --bin mtb -- tables 5 --gantt
+//! cargo run -p mtb-bench --release --bin mtb -- ext noise
 //! ```
 
+use mtb_bench::cli::{self, build_app, cpu0_irq_noise, AppOverrides, ArgError, Args};
+use mtb_bench::experiments;
 use mtb_bench::harness::{config_hash_static, run_static, SweepRunner};
 use mtb_core::balance::{prepare, StaticRun};
-use mtb_core::paper_cases::{self, Case};
+use mtb_core::paper_cases::Case;
 use mtb_core::policy::PrioritySetting;
 use mtb_core::ControllerConfig;
 use mtb_mpisim::engine::RunResult;
 use mtb_mpisim::program::Program;
 use mtb_mpisim::{NullObserver, Stepping};
-use mtb_oskernel::noise::interrupt_annoyance;
-use mtb_oskernel::{CtxAddr, KernelConfig, NoiseSource};
+use mtb_oskernel::KernelConfig;
 use mtb_snap::{read_snapshot, write_snapshot};
 use mtb_trace::{cycles_to_seconds, render_gantt, GanttConfig};
-use mtb_workloads::{BtMzConfig, MetBenchConfig, SiestaConfig};
 
-use mtb_bench::cli::{build_app, parse_opts, AppOverrides};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -40,7 +43,11 @@ mtb — balancing HPC applications on MT processors (IPDPS 2008 reproduction)
 
 USAGE:
     mtb run --app <APP> [OPTIONS]     simulate one configuration
-    mtb tables [N|all]                regenerate paper tables (default: all)
+    mtb tables [N|all] [--gantt]      print paper Tables I-VI (default: all);
+                                      --gantt adds Figures 2-4 to IV-VI
+    mtb ext [NAME]                    print Figure 1, the report, ABL-1
+                                      (fidelity) or an EXT experiment;
+                                      without NAME, list every entry
     mtb sweep --app <APP>             sweep the priority difference
     mtb lint [OPTIONS]                static analysis of programs + priorities
     mtb suggest [OPTIONS]             rank (placement, priority) plans statically
@@ -48,9 +55,19 @@ USAGE:
     mtb bench [OPTIONS]               fast-path vs reference perf report
     mtb bisect-drift [OPTIONS]        locate the first divergent event window
     mtb checkpoint-identity [--smoke] prove save→fresh-process-resume identity
-    mtb help                          this text
+    mtb help                          this text (also `mtb <COMMAND> --help`)
 
 APPS:   metbench | btmz | siesta | synthetic
+
+Options take `--key value` or `--key=value`. An unknown option, a missing
+or unparsable value, or an unknown choice is an error.
+
+HARNESS OPTIONS (every command):
+    --jobs <n>              sweep worker count          [default: MTB_JOBS]
+    --no-cache              bypass the run-record cache (MTB_RUN_DIR)
+    --checkpoint-every <n>  snapshot the engine every n events; an
+                            interrupted run resumes from its last valid
+                            checkpoint on the next invocation
 
 RUN OPTIONS:
     --case <ST|A|B|C|D>     paper case configuration     [default: A]
@@ -63,9 +80,6 @@ RUN OPTIONS:
     --seed <n>              workload seed
     --gantt                 render the trace Gantt chart
     --cycle-accurate        use the cycle-level core model (slow)
-    --checkpoint-every <n>  snapshot the engine every n events; an
-                            interrupted run resumes from its last valid
-                            checkpoint on the next invocation
     --resume <file>         restore a snapshot file and run to completion
                             (config must hash-match the snapshot)
 
@@ -134,34 +148,47 @@ PARALLELISM:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("tables") => cmd_tables(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("suggest") => cmd_suggest(&args[1..]),
-        Some("table-dynamic") => cmd_table_dynamic(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("bisect-drift") => cmd_bisect(&args[1..]),
-        Some("checkpoint-identity") => cmd_checkpoint_identity(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
+        Some("help" | "--help" | "-h") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("unknown command {other:?}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Some(name) => match cli::spec(name) {
+            Some(spec) => match cli::parse(spec, &args[1..]) {
+                Ok(parsed) => dispatch(name, &parsed).unwrap_or_else(|e| usage_error(&e)),
+                Err(ArgError::Help) => {
+                    print!("{USAGE}");
+                    ExitCode::SUCCESS
+                }
+                Err(ArgError::Invalid(e)) => usage_error(&e),
+            },
+            None => usage_error(&format!("unknown command {name:?}")),
+        },
     };
     mtb_bench::harness::print_summary();
     code
 }
 
-fn noise_for(duty_pct: u64) -> Vec<NoiseSource> {
-    if duty_pct == 0 {
-        return Vec::new();
+/// Run subcommand `name`; an `Err` is a usage error.
+fn dispatch(name: &str, args: &Args) -> Result<ExitCode, String> {
+    match name {
+        "run" => cmd_run(args),
+        "tables" => experiments::run_tables(args.positional(), args.flag("gantt"))
+            .map(|()| ExitCode::SUCCESS),
+        "ext" => experiments::run_ext(args.positional()).map(|()| ExitCode::SUCCESS),
+        "sweep" => cmd_sweep(args),
+        "lint" => cmd_lint(args),
+        "suggest" => cmd_suggest(args),
+        "table-dynamic" => cmd_table_dynamic(args),
+        "bench" => cmd_bench(args),
+        "bisect-drift" => cmd_bisect(args),
+        "checkpoint-identity" => Ok(cmd_checkpoint_identity(args)),
+        other => unreachable!("no handler for declared command {other:?}"),
     }
-    let period = 500_000;
-    interrupt_annoyance(2, 1_500_000, 7_500, period, period * duty_pct.min(50) / 100)
+}
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n\n{USAGE}");
+    ExitCode::FAILURE
 }
 
 fn print_result(label: &str, r: &RunResult, gantt: bool) {
@@ -193,73 +220,49 @@ fn print_result(label: &str, r: &RunResult, gantt: bool) {
     }
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let app = opts.get("app").map(String::as_str).unwrap_or("");
-    let case_name = opts.get("case").map(String::as_str).unwrap_or("A");
-    let scale: f64 = opts
-        .get("scale")
-        .map_or(Ok(1.0), |s| s.parse())
-        .unwrap_or(1.0);
-    let iterations = opts.get("iterations").and_then(|s| s.parse().ok());
-    let seed = opts.get("seed").and_then(|s| s.parse().ok());
-    let duty: u64 = opts.get("noise").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let kernel = match opts.get("kernel").map(String::as_str) {
+fn cmd_run(args: &Args) -> Result<ExitCode, String> {
+    let app = args.value("app").unwrap_or("");
+    let case_name = args.value("case").unwrap_or("A");
+    let duty: u64 = args.get("noise")?.unwrap_or(0);
+    if duty > 50 {
+        return Err(format!("--noise {duty}: expected a duty cycle of 0-50 (%)"));
+    }
+    let kernel = match args.value("kernel") {
+        None | Some("patched") => KernelConfig::patched(),
         Some("vanilla") => KernelConfig::vanilla(),
-        _ => KernelConfig::patched(),
+        Some(other) => return Err(format!("--kernel {other:?}: expected patched|vanilla")),
     };
-
-    let overrides = AppOverrides {
-        scale: Some(scale),
-        iterations,
-        seed,
-    };
-    let (programs, case) = match build_app(app, case_name, overrides) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (programs, case) = build_app(app, case_name, AppOverrides::from_args(args)?)?;
+    let gantt = args.flag("gantt");
 
     let mut run = StaticRun::new(&programs, case.placement.clone())
         .with_priorities(case.priorities.clone())
         .with_kernel(kernel)
-        .with_noise(noise_for(duty));
-    if flags.iter().any(|f| f == "cycle-accurate") {
+        .with_noise(cpu0_irq_noise(duty));
+    if args.flag("cycle-accurate") {
         run = run.cycle_accurate();
     }
 
-    if let Some(path) = opts.get("resume") {
-        if flags.iter().any(|f| f == "dynamic") {
+    if let Some(path) = args.value("resume") {
+        if args.flag("dynamic") {
             eprintln!(
                 "--resume cannot drive the dynamic controller (its state is not in the snapshot)"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        return match resume_run(&run, Path::new(path)) {
+        return Ok(match resume_run(&run, Path::new(path)) {
             Ok(r) => {
-                print_result(
-                    &format!("{app} case {case_name} (resumed)"),
-                    &r,
-                    flags.iter().any(|f| f == "gantt"),
-                );
+                print_result(&format!("{app} case {case_name} (resumed)"), &r, gantt);
                 ExitCode::SUCCESS
             }
             Err(e) => {
                 eprintln!("resume failed: {e}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
-    let result = if flags.iter().any(|f| f == "dynamic") {
+    let result = if args.flag("dynamic") {
         SweepRunner::global()
             .run_dynamic(run, &ControllerConfig::default())
             .map(|(r, stats)| {
@@ -273,82 +276,31 @@ fn cmd_run(args: &[String]) -> ExitCode {
         run_static(run)
     };
 
-    match result {
+    Ok(match result {
         Ok(r) => {
-            print_result(
-                &format!("{app} case {case_name}"),
-                &r,
-                flags.iter().any(|f| f == "gantt"),
-            );
+            print_result(&format!("{app} case {case_name}"), &r, gantt);
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("run failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn cmd_tables(args: &[String]) -> ExitCode {
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let all = which == "all";
-    // The table binaries own the formatting; reuse their logic by calling
-    // the harness directly.
-    if all || which == "4" {
-        let cfg = MetBenchConfig::default();
-        let runs = mtb_bench::run_cases(paper_cases::metbench_cases(), |_| cfg.programs());
-        println!("{}", mtb_bench::report("TABLE IV — METBENCH", "A", &runs));
-    }
-    if all || which == "5" {
-        let st_cfg = BtMzConfig::st_mode();
-        let st = mtb_bench::run_case(&st_cfg.programs(), &paper_cases::btmz_st_case());
-        let cfg = BtMzConfig::default();
-        let mut runs = vec![(paper_cases::btmz_st_case(), st)];
-        runs.extend(mtb_bench::run_cases(paper_cases::btmz_cases(), |_| {
-            cfg.programs()
-        }));
-        println!("{}", mtb_bench::report("TABLE V — BT-MZ", "A", &runs));
-    }
-    if all || which == "6" {
-        let st_cfg = SiestaConfig::st_mode();
-        let st = mtb_bench::run_case(&st_cfg.programs(), &paper_cases::siesta_st_case());
-        let cfg = SiestaConfig::default();
-        let mut runs = vec![(paper_cases::siesta_st_case(), st)];
-        runs.extend(mtb_bench::run_cases(paper_cases::siesta_cases(), |_| {
-            cfg.programs()
-        }));
-        println!("{}", mtb_bench::report("TABLE VI — SIESTA", "A", &runs));
-    }
-    if !(all || ["4", "5", "6"].contains(&which)) {
-        eprintln!("tables: expected 4, 5, 6 or all (tables 1-3 have dedicated binaries)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_lint(args: &[String]) -> ExitCode {
+fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
     use mtb_bench::lint;
     use mtb_verify::Severity;
 
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let deny = match opts.get("deny").map(String::as_str) {
+    let deny = match args.value("deny") {
         None | Some("errors") => Severity::Error,
         Some("warnings") => Severity::Warning,
-        Some(other) => {
-            eprintln!("--deny {other:?}: expected errors|warnings");
-            return ExitCode::FAILURE;
-        }
+        Some(other) => return Err(format!("--deny {other:?}: expected errors|warnings")),
     };
 
-    if flags.iter().any(|f| f == "selftest") {
-        let jobs: usize = opts.get("jobs").and_then(|s| s.parse().ok()).unwrap_or(8);
-        return match lint::selftest(jobs) {
+    if args.flag("selftest") {
+        let jobs: usize = args.get("jobs")?.unwrap_or(8);
+        return Ok(match lint::selftest(jobs) {
             Ok(lines) => {
                 for line in lines {
                     println!("{line}");
@@ -360,102 +312,71 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 eprintln!("determinism selftest FAILED: {e}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
-    let targets: Vec<(&str, &str)> = if flags.iter().any(|f| f == "all-cases") {
+    let targets: Vec<(&str, &str)> = if args.flag("all-cases") {
         lint::ALL_TARGETS.to_vec()
     } else {
-        let app = match opts.get("app") {
-            Some(a) => a.as_str(),
-            None => {
-                eprintln!("lint needs --app <APP> --case <C>, --all-cases or --selftest");
-                return ExitCode::FAILURE;
-            }
-        };
-        vec![(app, opts.get("case").map(String::as_str).unwrap_or("A"))]
+        let app = args
+            .value("app")
+            .ok_or("lint needs --app <APP> --case <C>, --all-cases or --selftest")?;
+        vec![(app, args.value("case").unwrap_or("A"))]
     };
 
     let outcomes = match lint::lint_targets(&targets) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("lint failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    if flags.iter().any(|f| f == "json") {
+    if args.flag("json") {
         println!("{}", lint::outcomes_to_json(&outcomes).render());
     } else {
         print!("{}", lint::outcomes_to_text(&outcomes));
     }
-    if lint::any_at_or_above(&outcomes, deny) {
+    Ok(if lint::any_at_or_above(&outcomes, deny) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let smoke = flags.iter().any(|f| f == "smoke");
+fn cmd_bench(args: &Args) -> Result<ExitCode, String> {
+    let smoke = args.flag("smoke");
     // A smoke report must not overwrite the committed full-run record.
     let default_out = if smoke {
         "BENCH_smoke.json"
     } else {
         "BENCH_sim.json"
     };
-    let out = opts.get("out").map_or(default_out, String::as_str);
+    let out = args.value("out").unwrap_or(default_out);
     let report = mtb_bench::perf::run(smoke);
     print!("{}", report.render());
-    if let Err(e) = report.write(std::path::Path::new(out)) {
+    if let Err(e) = report.write(Path::new(out)) {
         eprintln!("bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("report written to {out}");
     if !report.all_identical() {
         eprintln!("bench: DRIFT — fast path disagrees with reference output");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let (opts, _) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let app = opts.get("app").map(String::as_str).unwrap_or("metbench");
+fn cmd_sweep(args: &Args) -> Result<ExitCode, String> {
+    let app = args.value("app").unwrap_or("metbench");
+    let (programs, case) = build_app(app, "A", AppOverrides::default())?;
     println!("priority-difference sweep for {app} (light rank demoted, heavy boosted):\n");
     for diff in 0..=4u8 {
         let heavy = 6u8.min(4 + diff);
         let light = heavy - diff;
         let prios: Vec<PrioritySetting> = (0..4)
-            .map(|r| {
-                if r % 2 == 1 {
-                    PrioritySetting::ProcFs(heavy)
-                } else {
-                    PrioritySetting::ProcFs(light)
-                }
-            })
+            .map(|r| PrioritySetting::ProcFs(if r % 2 == 1 { heavy } else { light }))
             .collect();
-        let (programs, case) = match build_app(app, "A", AppOverrides::default()) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let placement: Vec<CtxAddr> = case.placement.clone();
-        match run_static(StaticRun::new(&programs, placement).with_priorities(prios)) {
+        match run_static(StaticRun::new(&programs, case.placement.clone()).with_priorities(prios)) {
             Ok(r) => println!(
                 "  diff {diff} ({light}/{heavy}): exec {:7.2}s, imbalance {:5.2}%",
                 cycles_to_seconds(r.total_cycles),
@@ -463,11 +384,11 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             ),
             Err(e) => {
                 eprintln!("sweep point failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Restore `path` into a fresh engine for `run` and drive it to
@@ -493,53 +414,25 @@ fn resume_run(run: &StaticRun<'_>, path: &Path) -> Result<RunResult, String> {
     Ok(engine.into_result())
 }
 
-fn cmd_bisect(args: &[String]) -> ExitCode {
-    let (opts, _) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let compare = match opts.get("compare").map(String::as_str) {
+fn cmd_bisect(args: &Args) -> Result<ExitCode, String> {
+    let compare = match args.value("compare") {
         Some(c @ ("threads" | "stepping" | "fidelity")) => c,
         Some(other) => {
-            eprintln!("--compare {other:?}: expected threads|stepping|fidelity");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "--compare {other:?}: expected threads|stepping|fidelity"
+            ))
         }
-        None => {
-            eprintln!("bisect-drift needs --compare <threads|stepping|fidelity>");
-            return ExitCode::FAILURE;
-        }
+        None => return Err("bisect-drift needs --compare <threads|stepping|fidelity>".into()),
     };
-    let app = opts.get("app").map(String::as_str).unwrap_or("metbench");
-    let case_name = opts.get("case").map(String::as_str).unwrap_or("A");
-    let window: u64 = opts
-        .get("window")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
+    let app = args.value("app").unwrap_or("metbench");
+    let case_name = args.value("case").unwrap_or("A");
+    let window: u64 = args.get("window")?.unwrap_or(50);
     // The cycle model simulates every cycle an event jump covers, so the
     // fidelity comparison defaults to a far smaller workload.
     let default_scale = if compare == "fidelity" { 2e-5 } else { 1e-3 };
-    let scale: f64 = opts
-        .get("scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_scale);
-
-    let (programs, case) = match build_app(
-        app,
-        case_name,
-        AppOverrides {
-            scale: Some(scale),
-            ..Default::default()
-        },
-    ) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut ov = AppOverrides::from_args(args)?;
+    let scale = *ov.scale.get_or_insert(default_scale);
+    let (programs, case) = build_app(app, case_name, ov)?;
     let base = || {
         StaticRun::new(&programs, case.placement.clone())
             .with_priorities(case.priorities.clone())
@@ -554,7 +447,7 @@ fn cmd_bisect(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("bisect-drift failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     print!(
@@ -565,9 +458,9 @@ fn cmd_bisect(args: &[String]) -> ExitCode {
     // locate divergence that is allowed to exist.
     if compare == "threads" && report.divergence.is_some() {
         eprintln!("bisect-drift: determinism violation — thread counts diverged");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The checkpoint-identity targets: every paper case of every app.
@@ -613,12 +506,10 @@ fn ci_run<'a>(
     run
 }
 
-fn ci_parse(
-    opts: &std::collections::HashMap<String, String>,
-) -> Result<(String, String, Stepping, bool), String> {
-    let app = opts.get("app").cloned().ok_or("missing --app")?;
-    let case = opts.get("case").cloned().ok_or("missing --case")?;
-    let stepping = match opts.get("stepping").map(String::as_str) {
+fn ci_parse(args: &Args) -> Result<(&str, &str, Stepping, bool), String> {
+    let app = args.value("app").ok_or("missing --app")?;
+    let case = args.value("case").ok_or("missing --case")?;
+    let stepping = match args.value("stepping") {
         Some("event-horizon") => Stepping::EventHorizon,
         Some("quantum") => Stepping::Quantum,
         other => {
@@ -627,7 +518,7 @@ fn ci_parse(
             ))
         }
     };
-    let cycle = match opts.get("fidelity").map(String::as_str) {
+    let cycle = match args.value("fidelity") {
         Some("meso") => false,
         Some("cycle") => true,
         other => return Err(format!("--fidelity {other:?}: expected meso|cycle")),
@@ -638,12 +529,9 @@ fn ci_parse(
 /// Child phase 1: step to the mid-run event boundary and write the
 /// snapshot. The split point is deterministic — half the total event
 /// count, probed by a full run in this same process.
-fn ci_child_save(
-    opts: &std::collections::HashMap<String, String>,
-    path: &str,
-) -> Result<(), String> {
-    let (app, case_name, stepping, cycle) = ci_parse(opts)?;
-    let (programs, case) = ci_build(&app, &case_name, cycle)?;
+fn ci_child_save(args: &Args, path: &str) -> Result<(), String> {
+    let (app, case_name, stepping, cycle) = ci_parse(args)?;
+    let (programs, case) = ci_build(app, case_name, cycle)?;
     let run = || ci_run(&programs, &case, stepping, cycle);
 
     let mut probe = prepare(&run()).map_err(|e| e.to_string())?;
@@ -669,12 +557,9 @@ fn ci_child_save(
 
 /// Child phase 2: restore the snapshot into a freshly prepared engine,
 /// finish the run, and print the record hash for the parent to compare.
-fn ci_child_restore(
-    opts: &std::collections::HashMap<String, String>,
-    path: &str,
-) -> Result<(), String> {
-    let (app, case_name, stepping, cycle) = ci_parse(opts)?;
-    let (programs, case) = ci_build(&app, &case_name, cycle)?;
+fn ci_child_restore(args: &Args, path: &str) -> Result<(), String> {
+    let (app, case_name, stepping, cycle) = ci_parse(args)?;
+    let (programs, case) = ci_build(app, case_name, cycle)?;
     let run = ci_run(&programs, &case, stepping, cycle);
     let result = resume_run(&run, Path::new(path))?;
     println!(
@@ -684,17 +569,10 @@ fn ci_child_restore(
     Ok(())
 }
 
-fn cmd_checkpoint_identity(args: &[String]) -> ExitCode {
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_checkpoint_identity(args: &Args) -> ExitCode {
     // Child phases (spawned below with the same binary).
-    if let Some(path) = opts.get("save") {
-        return match ci_child_save(&opts, path) {
+    if let Some(path) = args.value("save") {
+        return match ci_child_save(args, path) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("checkpoint-identity save: {e}");
@@ -702,8 +580,8 @@ fn cmd_checkpoint_identity(args: &[String]) -> ExitCode {
             }
         };
     }
-    if let Some(path) = opts.get("restore") {
-        return match ci_child_restore(&opts, path) {
+    if let Some(path) = args.value("restore") {
+        return match ci_child_restore(args, path) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("checkpoint-identity restore: {e}");
@@ -719,7 +597,7 @@ fn cmd_checkpoint_identity(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let smoke = flags.iter().any(|f| f == "smoke");
+    let smoke = args.flag("smoke");
     let mut failures = 0usize;
     let mut targets = 0usize;
     for &(app, cases) in CI_APPS {
@@ -827,32 +705,17 @@ fn ci_one_target(
     result
 }
 
-fn cmd_table_dynamic(args: &[String]) -> ExitCode {
+fn cmd_table_dynamic(args: &Args) -> Result<ExitCode, String> {
     use mtb_bench::table_dynamic as td;
 
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let smoke = flags.iter().any(|f| f == "smoke");
-    let scale = opts
-        .get("scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 1e-3 } else { 1.0 });
-    let ov = AppOverrides {
-        scale: Some(scale),
-        iterations: opts.get("iterations").and_then(|s| s.parse().ok()),
-        seed: opts.get("seed").and_then(|s| s.parse().ok()),
-    };
-    let jobs = opts
-        .get("jobs")
-        .cloned()
-        .or_else(|| std::env::var("MTB_JOBS").ok())
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n > 0)
+    let mut ov = AppOverrides::from_args(args)?;
+    ov.scale = ov
+        .scale
+        .or(Some(if args.flag("smoke") { 1e-3 } else { 1.0 }));
+    let jobs = args
+        .get::<usize>("jobs")?
+        .or_else(|| std::env::var("MTB_JOBS").ok()?.parse().ok())
+        .filter(|&n| n > 0)
         .unwrap_or(4);
     let cfg = mtb_core::ControllerConfig::default();
 
@@ -860,22 +723,22 @@ fn cmd_table_dynamic(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("table-dynamic: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let doc = td::report_to_json(&rows);
-    if let Some(path) = opts.get("out") {
+    if let Some(path) = args.value("out") {
         if let Err(e) = std::fs::write(path, doc.render()) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    if flags.iter().any(|f| f == "json") {
+    if args.flag("json") {
         println!("{}", doc.render());
     } else {
         print!("{}", td::report_to_text(&rows));
     }
-    if rows.iter().all(td::DynamicRow::passes) {
+    Ok(if rows.iter().all(td::DynamicRow::passes) {
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -883,40 +746,29 @@ fn cmd_table_dynamic(args: &[String]) -> ExitCode {
              setting, a case-D inversion, or thread-count drift (see report)"
         );
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_suggest(args: &[String]) -> ExitCode {
+fn cmd_suggest(args: &Args) -> Result<ExitCode, String> {
     use mtb_bench::suggest;
 
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let apps: Vec<&str> = match opts.get("app").map(String::as_str) {
+    let apps: Vec<&str> = match args.value("app") {
         None | Some("all") => suggest::SUGGEST_APPS.to_vec(),
         Some(app) => vec![app],
     };
-    let top: usize = opts.get("top").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let ov = AppOverrides {
-        scale: opts.get("scale").and_then(|s| s.parse().ok()),
-        iterations: opts.get("iterations").and_then(|s| s.parse().ok()),
-        seed: opts.get("seed").and_then(|s| s.parse().ok()),
-    };
-    let json = flags.iter().any(|f| f == "json");
-    let out_path = opts.get("out").map(Path::new);
+    let top: usize = args.get("top")?.unwrap_or(5);
+    let ov = AppOverrides::from_args(args)?;
+    let json = args.flag("json");
+    let out_path = args.value("out").map(Path::new);
 
-    if flags.iter().any(|f| f == "validate") {
+    if args.flag("validate") {
         let mut validations = Vec::new();
         for app in &apps {
             match suggest::validate_app(app, ov) {
                 Ok(v) => validations.push(v),
                 Err(e) => {
                     eprintln!("suggest --validate {app}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -924,7 +776,7 @@ fn cmd_suggest(args: &[String]) -> ExitCode {
         if let Some(path) = out_path {
             if let Err(e) = std::fs::write(path, doc.render()) {
                 eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         if json {
@@ -932,7 +784,7 @@ fn cmd_suggest(args: &[String]) -> ExitCode {
         } else {
             print!("{}", suggest::validations_to_text(&validations));
         }
-        return if validations.iter().all(suggest::AppValidation::passes) {
+        return Ok(if validations.iter().all(suggest::AppValidation::passes) {
             ExitCode::SUCCESS
         } else {
             eprintln!(
@@ -941,7 +793,7 @@ fn cmd_suggest(args: &[String]) -> ExitCode {
                 suggest::MIN_RANK_CORRELATION
             );
             ExitCode::FAILURE
-        };
+        });
     }
 
     let mut docs = Vec::new();
@@ -955,7 +807,7 @@ fn cmd_suggest(args: &[String]) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("suggest {app}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -966,8 +818,8 @@ fn cmd_suggest(args: &[String]) -> ExitCode {
     if let Some(path) = out_path {
         if let Err(e) = std::fs::write(path, doc.render()) {
             eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

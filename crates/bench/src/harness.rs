@@ -1,8 +1,8 @@
 //! The parallel sweep harness with structured, cached run records.
 //!
-//! Every table/figure binary boils down to the same loop: simulate a list
-//! of independent `(Case, programs)` configurations and render the
-//! results. This module factors that loop out:
+//! Every `mtb tables`/`mtb ext` entry boils down to the same loop:
+//! simulate a list of independent `(Case, programs)` configurations and
+//! render the results. This module factors that loop out:
 //!
 //! * [`SweepRunner`] fans the simulations over a worker pool
 //!   (`--jobs N`, defaulting to the machine's parallelism) — the engine
@@ -102,7 +102,7 @@ pub use mtb_snap::fnv1a;
 
 /// A deterministic per-case seed: a pure function of the case identity
 /// (name, priorities, placement), stable across processes and job
-/// counts. Sweep binaries that need case-local randomness derive it from
+/// counts. Sweeps that need case-local randomness derive it from
 /// this instead of global state, so a sweep's records are reproducible.
 pub fn case_seed(case: &Case) -> u64 {
     let mut key = String::new();
@@ -839,7 +839,8 @@ impl Default for SweepOptions {
 
 impl SweepOptions {
     /// Parse `--jobs N` (or `--jobs=N`) and `--no-cache` from the process
-    /// arguments; everything else is left for the binary's own parser.
+    /// arguments; the subcommand's own options are `mtb`'s to parse
+    /// ([`crate::cli::parse`] accepts these on every subcommand).
     pub fn from_env() -> SweepOptions {
         Self::from_args(std::env::args().skip(1))
     }
@@ -1169,7 +1170,7 @@ impl SweepRunner {
     }
 
     /// Run a fully-specified [`StaticRun`] through the cache. Covers the
-    /// extension binaries that vary kernel flavour, noise, fidelity,
+    /// extension experiments that vary kernel flavour, noise, fidelity,
     /// topology or wait policy beyond what a [`Case`] expresses.
     pub fn run_static(&self, run: StaticRun<'_>) -> Result<RunResult, BalanceError> {
         let t0 = Instant::now();
@@ -1250,7 +1251,7 @@ impl SweepRunner {
 
 /// [`SweepRunner::run_static`] on the global runner — the drop-in
 /// cached replacement for `mtb_core::balance::execute` in the extension
-/// binaries.
+/// experiments.
 pub fn run_static(run: StaticRun<'_>) -> Result<RunResult, BalanceError> {
     SweepRunner::global().run_static(run)
 }

@@ -1,14 +1,17 @@
 //! # mtb-bench — the benchmark harness
 //!
-//! One binary per table/figure of the paper (run with
-//! `cargo run -p mtb-bench --release --bin tableN`), plus Criterion
-//! benches for the performance-sensitive pieces. The binaries print the
-//! same rows the paper reports; `EXPERIMENTS.md` records the comparison.
+//! The `mtb` driver and the library behind it: every table and figure of
+//! the paper and every extension experiment is an entry of the
+//! [`experiments`] registry (`mtb tables [N|all] [--gantt]`,
+//! `mtb ext [NAME]`), plus Criterion benches for the
+//! performance-sensitive pieces. The tables print the same rows the paper
+//! reports; `EXPERIMENTS.md` records the comparison.
 
 #![forbid(unsafe_code)]
 
 pub mod bisect;
 pub mod cli;
+pub mod experiments;
 pub mod harness;
 pub mod lint;
 pub mod perf;

@@ -5,6 +5,11 @@
 //! and producing useful (if statistically unsophisticated) numbers under
 //! `cargo bench`: each benchmark runs a short warmup, then reports the
 //! minimum and mean wall-clock time per iteration over a fixed sample.
+//!
+//! As with the real crate, the first argument that is not a flag filters
+//! benchmarks by substring of their `group/name`
+//! (`cargo bench --bench fast_forward -- paper_regimes`); the others are
+//! skipped before their closure runs.
 
 #![forbid(unsafe_code)]
 
@@ -84,14 +89,30 @@ fn report(name: &str, b: &Bencher, throughput: Option<Throughput>) {
     println!("{line}");
 }
 
+/// The name filter in a bench binary's arguments: the first one that does
+/// not start with `-` (cargo passes `--bench` ahead of it).
+fn name_filter(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
+/// Whether the benchmark `id` (`group/name`, or `name` outside a group)
+/// passes `filter`.
+fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.map_or(true, |f| id.contains(f))
+}
+
 /// The benchmark driver.
 pub struct Criterion {
     samples: u32,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Criterion {
-        Criterion { samples: 10 }
+        Criterion {
+            samples: 10,
+            filter: name_filter(std::env::args().skip(1)),
+        }
     }
 }
 
@@ -108,6 +129,9 @@ impl Criterion {
         name: impl AsRef<str>,
         f: impl FnMut(&mut Bencher),
     ) -> &mut Criterion {
+        if !selected(self.filter.as_deref(), name.as_ref()) {
+            return self;
+        }
         let mut f = f;
         let mut b = Bencher::new(self.samples);
         f(&mut b);
@@ -115,11 +139,13 @@ impl Criterion {
         self
     }
 
-    /// Open a named group of benchmarks.
+    /// Open a named group of benchmarks. Its header prints before the
+    /// first benchmark the name filter selects.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("group {name}:");
         BenchmarkGroup {
             criterion: self,
+            name: name.to_string(),
+            header_printed: false,
             throughput: None,
             samples: None,
         }
@@ -129,6 +155,8 @@ impl Criterion {
 /// A group of related benchmarks sharing throughput/sample settings.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
+    name: String,
+    header_printed: bool,
     throughput: Option<Throughput>,
     samples: Option<u32>,
 }
@@ -152,6 +180,14 @@ impl BenchmarkGroup<'_> {
         name: impl AsRef<str>,
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
+        let id = format!("{}/{}", self.name, name.as_ref());
+        if !selected(self.criterion.filter.as_deref(), &id) {
+            return self;
+        }
+        if !self.header_printed {
+            println!("group {}:", self.name);
+            self.header_printed = true;
+        }
         let mut f = f;
         let mut b = Bencher::new(self.samples.unwrap_or(self.criterion.samples));
         f(&mut b);
@@ -187,4 +223,53 @@ macro_rules! criterion_main {
             $( $group(); )+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn filter_is_the_first_non_flag_argument() {
+        assert_eq!(name_filter(args(&["--bench"])), None);
+        assert_eq!(
+            name_filter(args(&["--bench", "paper_regimes", "x"])).as_deref(),
+            Some("paper_regimes")
+        );
+    }
+
+    #[test]
+    fn filter_matches_a_substring_of_group_and_name() {
+        assert!(selected(None, "fast_forward/latency/reference"));
+        assert!(selected(Some("paper_regimes"), "paper_regimes/btmz/btmz"));
+        assert!(selected(Some("regimes/btmz"), "paper_regimes/btmz/btmz"));
+        assert!(!selected(
+            Some("paper_regimes"),
+            "fast_forward/latency/reference"
+        ));
+    }
+
+    #[test]
+    fn unselected_benchmarks_never_run() {
+        let mut c = Criterion {
+            samples: 1,
+            filter: Some("keep".into()),
+        };
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("grp");
+        g.bench_function("skip", |b| {
+            ran.push("skip");
+            b.iter(|| 1)
+        });
+        g.bench_function("keep", |b| {
+            ran.push("keep");
+            b.iter(|| 1)
+        });
+        g.finish();
+        assert_eq!(ran, ["keep"]);
+    }
 }

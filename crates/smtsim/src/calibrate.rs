@@ -5,7 +5,7 @@
 //! on the cycle-level core in single-thread mode. Measured profiles make
 //! the mesoscale model track the cycle model closely for workloads whose
 //! analytic estimate is off (deep memory behaviour, pathological
-//! dependency patterns) — see the `fidelity` ablation binary.
+//! dependency patterns) — see the ABL-1 ablation, `mtb ext fidelity`.
 
 use crate::core::{CoreConfig, SmtCore};
 use crate::inst::StreamSpec;
