@@ -8,10 +8,13 @@
 //! call per core and the bars should coincide.
 //!
 //! The `machine_advance_engine` group steps the noise-dense machine the
-//! way the event engine does: each iteration advances to
+//! way the event engine does on shared-L2 machines and under the
+//! reference segmentation: each iteration advances to
 //! `next_boundary(now)`, so an epoch crosses at most one noise boundary
 //! and the per-epoch cost of the kernel path (calendar upkeep, handler
-//! flips, accounting) is what the row times.
+//! flips, accounting) is what the row times. (A noisy meso machine on
+//! the calendar walks such edges inside one `Machine::advance_until`
+//! call; `event_stepping`'s `metbench_tiny_D_noisy` rows time that.)
 //!
 //! Mesoscale cores, like the engine's default fidelity: their O(1)
 //! windows expose the segmentation machinery itself rather than

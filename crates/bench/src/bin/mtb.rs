@@ -21,7 +21,7 @@
 //! cargo run -p mtb-bench --release --bin mtb -- ext noise
 //! ```
 
-use mtb_bench::cli::{self, build_app, cpu0_irq_noise, AppOverrides, ArgError, Args};
+use mtb_bench::cli::{self, build_app, AppOverrides, ArgError, Args};
 use mtb_bench::experiments;
 use mtb_bench::harness::{config_hash_static, run_static, SweepRunner};
 use mtb_core::balance::{prepare, StaticRun};
@@ -88,6 +88,7 @@ BISECT-DRIFT OPTIONS:
     --app <APP> --case <C>  configuration to replay      [default: metbench A]
     --window <n>            events per comparison window [default: 50]
     --scale <f>             work multiplier   [default: 1e-3; 2e-5 for fidelity]
+    --noise <duty-pct>      CPU0 device-IRQ duty cycle (0-50), as for `run`
     `threads` must never diverge (exit nonzero if it does); `stepping`
     and `fidelity` locate divergence-by-design.
 
@@ -223,10 +224,7 @@ fn print_result(label: &str, r: &RunResult, gantt: bool) {
 fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let app = args.value("app").unwrap_or("");
     let case_name = args.value("case").unwrap_or("A");
-    let duty: u64 = args.get("noise")?.unwrap_or(0);
-    if duty > 50 {
-        return Err(format!("--noise {duty}: expected a duty cycle of 0-50 (%)"));
-    }
+    let noise = cli::noise_arg(args)?;
     let kernel = match args.value("kernel") {
         None | Some("patched") => KernelConfig::patched(),
         Some("vanilla") => KernelConfig::vanilla(),
@@ -238,7 +236,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let mut run = StaticRun::new(&programs, case.placement.clone())
         .with_priorities(case.priorities.clone())
         .with_kernel(kernel)
-        .with_noise(cpu0_irq_noise(duty));
+        .with_noise(noise);
     if args.flag("cycle-accurate") {
         run = run.cycle_accurate();
     }
@@ -427,6 +425,7 @@ fn cmd_bisect(args: &Args) -> Result<ExitCode, String> {
     let app = args.value("app").unwrap_or("metbench");
     let case_name = args.value("case").unwrap_or("A");
     let window: u64 = args.get("window")?.unwrap_or(50);
+    let noise = cli::noise_arg(args)?;
     // The cycle model simulates every cycle an event jump covers, so the
     // fidelity comparison defaults to a far smaller workload.
     let default_scale = if compare == "fidelity" { 2e-5 } else { 1e-3 };
@@ -436,6 +435,7 @@ fn cmd_bisect(args: &Args) -> Result<ExitCode, String> {
     let base = || {
         StaticRun::new(&programs, case.placement.clone())
             .with_priorities(case.priorities.clone())
+            .with_noise(noise.clone())
             .with_stepping(Stepping::EventHorizon)
     };
     let b = match compare {

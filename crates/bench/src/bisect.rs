@@ -139,6 +139,19 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_never_diverge_under_noise() {
+        // Noisy meso machines walk their noise edges inside one engine
+        // event, sequentially at any thread count, so the event
+        // trajectory itself must not move with the threads.
+        let progs = MetBenchConfig::tiny().programs();
+        let noisy = || base(&progs).with_noise(crate::cli::cpu0_irq_noise(10));
+        let report = bisect_drift(&noisy(), &noisy().with_threads(4), 5).unwrap();
+        assert!(report.divergence.is_none(), "{}", report.render());
+        assert_eq!(report.final_events.0, report.final_events.1);
+        assert!(report.windows > 1, "the run spans several windows");
+    }
+
+    #[test]
     fn stepping_modes_coincide_below_the_quantum() {
         // With the default 10⁹-cycle quantum and a tiny workload, every
         // event-horizon jump fits inside one quantum, so the two modes

@@ -47,7 +47,7 @@ const COMMANDS: &[Spec] = &[
            options: &["scale", "iterations", "seed", "out"] },
     Spec { name: "bench", flags: &["smoke"], options: &["out"], positionals: 0 },
     Spec { name: "bisect-drift", flags: &[], positionals: 0,
-           options: &["compare", "app", "case", "window", "scale"] },
+           options: &["compare", "app", "case", "window", "scale", "noise"] },
     // `save`/`restore` and the target options are the child phases the
     // command spawns itself.
     Spec { name: "checkpoint-identity", flags: &["smoke"], positionals: 0,
@@ -275,6 +275,16 @@ pub fn build_app(
         .find(|c| c.name.eq_ignore_ascii_case(case_name))
         .ok_or_else(|| format!("no case {case_name:?} for app {app:?}"))?;
     Ok((app_programs(app, case.name == "ST", ov)?, case))
+}
+
+/// The noise `--noise <duty-pct>` asks for: [`cpu0_irq_noise`] at that
+/// duty cycle (none when absent); a duty cycle above 50 is an error.
+pub fn noise_arg(args: &Args) -> Result<Vec<NoiseSource>, String> {
+    let duty: u64 = args.get("noise")?.unwrap_or(0);
+    if duty > 50 {
+        return Err(format!("--noise {duty}: expected a duty cycle of 0-50 (%)"));
+    }
+    Ok(cpu0_irq_noise(duty))
 }
 
 /// Section II-B's interrupt annoyance on the paper's two cores: 1 kHz

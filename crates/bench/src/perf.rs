@@ -76,10 +76,13 @@ enum Epochs {
     /// [`KERNEL_EPOCH`]-cycle epochs, each spanning many noise
     /// boundaries (the `kernel-path` sweep).
     Quantum,
-    /// Epochs that end at the next noise boundary, the shape the event
-    /// engine produces under noise: each epoch crosses at most one
-    /// boundary, so the row prices the calendar's per-epoch upkeep (the
-    /// `kernel-path-engine` sweep).
+    /// Epochs that end at the next noise boundary, the steps the event
+    /// engine takes under noise on shared-L2 machines and under
+    /// `Segmentation::Reference` (a noisy meso machine on the calendar
+    /// walks these edges inside one `Machine::advance_until` call
+    /// instead): each epoch crosses at most one boundary, so the row
+    /// prices the calendar's per-epoch upkeep (the `kernel-path-engine`
+    /// sweep).
     ToNextBoundary,
 }
 
@@ -667,8 +670,9 @@ fn kernel_path_entry(label: &str, programs: &[Program], cycles: u64, epochs: Epo
 /// The kernel-path sweeps: [`Machine::advance`] throughput, calendar vs
 /// reference segmentation, on the three scaling cases' compute mixes
 /// under dense Section II-B noise, once in 50k-cycle epochs
-/// (`kernel-path`) and once in engine-shaped epochs that stop at every
-/// noise boundary (`kernel-path-engine`). Timed single-threaded — the
+/// (`kernel-path`) and once in epochs that stop at every noise boundary,
+/// as engine steps do on shared-L2 machines and under the reference
+/// segmentation (`kernel-path-engine`). Timed single-threaded — the
 /// scaling sweeps already price parallelism; the sharded path is
 /// cross-checked for identity but not timed.
 fn kernel_path_sweeps(smoke: bool, entries: &mut Vec<BenchEntry>) {

@@ -87,9 +87,13 @@ pub struct StaticRun<'a> {
     /// Intra-run worker threads for machine stepping (default 1). Each
     /// engine event window is one *epoch*: shards step privately to the
     /// window's deterministic merge point, then the coordinator merges
-    /// their accounting. Permits are acquired per epoch and released
-    /// after it, and results are bit-identical at any setting, so this
-    /// is deliberately excluded from config/record hashing.
+    /// their accounting. Meso machines under noise step sequentially
+    /// whatever this says: each event walks its noise edges core by core
+    /// on the calling thread (`Machine::advance_until`), so the event
+    /// trajectory is the same at every thread count. Permits are
+    /// acquired per epoch and released after it, and results are
+    /// bit-identical at any setting, so this is deliberately excluded
+    /// from config/record hashing.
     pub threads: usize,
     /// Offer a checkpoint to the sink every N engine events (`None`
     /// disables checkpointing). Pure persistence knob: the event

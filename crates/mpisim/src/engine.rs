@@ -6,10 +6,13 @@
 //! 1. dispatches every *ready* rank into its next operation (installing a
 //!    workload for a compute phase, posting messages, joining a barrier
 //!    epoch, ...);
-//! 2. computes the earliest next event: a compute phase reaching its
-//!    instruction target (exact under the mesoscale core model), a message
-//!    arrival, a collective release, a noise boundary;
-//! 3. advances the machine to that instant and resolves completions.
+//! 2. computes the earliest MPI-visible event — a message arrival, a
+//!    collective release, the end of a local overhead — and lists every
+//!    computing rank's instruction target;
+//! 3. lets the machine advance to the first of that event and a target's
+//!    completion (exact under the mesoscale core model), crossing noise
+//!    windows on the way ([`Machine::advance_until`]), then resolves
+//!    completions.
 //!
 //! Because per-context retire rates only change at events (priority
 //! changes, workload installs/clears, noise windows), stepping from event
@@ -293,16 +296,22 @@ impl Observer for NullObserver {
 
 /// How [`Engine::try_run_with`] advances simulated time between events.
 ///
-/// Every externally visible state change — op dispatch, epoch release,
-/// message arrival, noise boundary — happens at an event time computed by
-/// `next_event`, and [`Observer`]s fire at epoch completions (which are
-/// events), so skipping straight to the next event visits exactly the
-/// same machine states as stepping up to it in quantum-sized slices.
-/// For the mesoscale core model the progress accounting is
-/// segmentation-invariant (anchor-based), making the two modes
-/// byte-identical; the cycle-level model's `cycles_to_retire` is a rate
-/// *estimate* that the quantum deliberately re-evaluates, so cycle
-/// fidelity keeps quantum stepping as its reference behavior.
+/// An event is an instant where a rank can change state: an op
+/// dispatch, an epoch release, a message arrival, a compute phase
+/// reaching its target. [`Observer`]s fire at epoch completions (which
+/// are events), so skipping straight to the next event visits exactly
+/// the same machine states as stepping up to it in quantum-sized slices.
+/// A noise boundary is not an event: no rank changes state there, and
+/// the machine crosses it inside one [`Machine::advance_until`] call — a
+/// noisy meso machine walks every handler flip up to the next event,
+/// while a shared-L2 machine, or one under
+/// [`mtb_oskernel::Segmentation::Reference`], still ends the step at the
+/// boundary and is called again. For the mesoscale core model the
+/// progress accounting is segmentation-invariant (anchor-based), making
+/// the two modes byte-identical; the cycle-level model's
+/// `cycles_to_retire` is a rate *estimate* that the quantum deliberately
+/// re-evaluates, so cycle fidelity keeps quantum stepping as its
+/// reference behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stepping {
     /// Event-horizon jumps for mesoscale fidelity, quantum stepping for
@@ -351,11 +360,14 @@ pub struct SimConfig {
     /// share-group shards step privately on persistent pinned workers
     /// and the coordinator merges per-shard accounting once per epoch;
     /// message delivery and collective release stay on the coordinator
-    /// at the merge point. Extra threads are drawn from the global permit
-    /// budget *per epoch* (so sweep-level and run-level parallelism
-    /// compose without oversubscription, and an idle run holds no
-    /// permits) and results are bit-identical at any setting — `threads`
-    /// therefore does *not* enter any record/config hash.
+    /// at the merge point. A noisy meso machine is the exception: it
+    /// walks its noise edges sequentially inside each event
+    /// ([`Machine::advance_until`]), whatever this says. Extra threads
+    /// are drawn from the global permit budget *per epoch* (so
+    /// sweep-level and run-level parallelism compose without
+    /// oversubscription, and an idle run holds no permits) and results,
+    /// event counts included, are bit-identical at any setting —
+    /// `threads` therefore does *not* enter any record/config hash.
     pub threads: usize,
     /// How the machine segments epochs at noise boundaries (event
     /// calendar vs the reference per-segment scan). Results are
@@ -561,6 +573,10 @@ pub struct Engine {
     /// Events (machine advances) executed so far — the unit checkpoints
     /// and the drift bisector count in.
     events: u64,
+    /// `(rank, retired target)` of every computing rank, refilled before
+    /// each event and handed to [`Machine::advance_until`]; not part of
+    /// [`EngineState`], kept only so its capacity survives.
+    targets: Vec<(Rank, u64)>,
 }
 
 impl Engine {
@@ -695,6 +711,7 @@ impl Engine {
             win_sync: vec![0; n],
             comm_log: Vec::new(),
             events: 0,
+            targets: Vec::new(),
         })
     }
 
@@ -875,20 +892,23 @@ impl Engine {
                     limit: self.max_cycles,
                 });
             }
-            let Some(next) = self.next_event(now) else {
-                return Err(self.deadlock_error(now));
-            };
-            let dt = if self.event_jump {
+            let bound = self.mpi_horizon(now).map(|t| t - now);
+            let limit = if self.event_jump {
                 // Jump straight to the event horizon. Cap at one past the
                 // cycle budget: overrunning further changes nothing
                 // observable (the guard above fires first) and only
                 // wastes machine work.
-                let cap = self.max_cycles.saturating_add(1).saturating_sub(now);
-                (next.saturating_sub(now)).clamp(1, cap.max(1))
+                self.max_cycles.saturating_add(1).saturating_sub(now)
             } else {
-                (next.saturating_sub(now)).clamp(1, self.quantum)
+                self.quantum
             };
-            self.machine.advance(dt);
+            if self
+                .machine
+                .advance_until(bound, limit, &self.targets)
+                .is_none()
+            {
+                return Err(self.deadlock_error(now));
+            }
             self.resolve_completions();
             self.events += 1;
             stepped += 1;
@@ -1158,8 +1178,13 @@ impl Engine {
         self.cfg_latency.latency(&self.topology, fa, ta, bytes)
     }
 
-    /// Earliest future event, if any.
-    fn next_event(&self, now: Cycles) -> Option<Cycles> {
+    /// The earliest MPI-visible event after `now` — a local overhead
+    /// ending, a message arriving, an epoch releasing — if any, while
+    /// refilling `targets` with every computing rank's retired-instruction
+    /// target. Compute completions and noise edges are the machine's to
+    /// find ([`Machine::advance_until`]).
+    fn mpi_horizon(&mut self, now: Cycles) -> Option<Cycles> {
+        self.targets.clear();
         let mut best: Option<Cycles> = None;
         let mut consider = |t: Cycles| {
             let t = t.max(now + 1);
@@ -1167,14 +1192,7 @@ impl Engine {
         };
         for rank in 0..self.n_ranks {
             match self.state[rank] {
-                RankState::Computing { target } => {
-                    let remaining = target.saturating_sub(self.machine.retired(rank));
-                    if remaining == 0 {
-                        consider(now);
-                    } else if let Some(dt) = self.machine.cycles_to_retire(rank, remaining) {
-                        consider(now + dt);
-                    }
-                }
+                RankState::Computing { target } => self.targets.push((rank, target)),
                 RankState::CommBusy { until } => consider(until),
                 RankState::WaitRecv { hidx } => {
                     if let Some(c) = self.comm.handle_completion(rank, hidx) {
@@ -1193,9 +1211,6 @@ impl Engine {
                 }
                 RankState::Ready | RankState::Done => {}
             }
-        }
-        if let Some(nb) = self.machine.next_boundary(now) {
-            consider(nb);
         }
         best
     }
@@ -1683,6 +1698,30 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other}"),
         }
+    }
+
+    #[test]
+    fn unmatched_recv_under_noise_is_a_deadlock() {
+        // Noise alone never ends a wait: with no computing rank and no
+        // pending MPI event the run is stuck, however many noise edges
+        // lie ahead.
+        let p0 = ProgramBuilder::new().recv(1, 99).build();
+        let p1 = ProgramBuilder::new()
+            .compute(WorkSpec::new(wl(2.0), 1_000))
+            .build();
+        let mut cfg = SimConfig::power5(2);
+        cfg.placement = vec![CtxAddr::from_cpu(0), CtxAddr::from_cpu(2)];
+        cfg.noise
+            .push(NoiseSource::timer(CtxAddr::from_cpu(0), 10_000, 500));
+        cfg.max_cycles = 50_000_000;
+        let err = Engine::try_new(&[p0, p1], cfg)
+            .unwrap()
+            .try_run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Deadlock { .. }),
+            "expected a deadlock, got {err}"
+        );
     }
 
     #[test]

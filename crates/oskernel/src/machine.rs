@@ -5,7 +5,11 @@
 //! (as the paper's experiments pin MPI ranks to CPUs), a kernel flavour
 //! governing priority behaviour, and a set of noise sources.
 //!
-//! Time advances through [`Machine::advance`]. Each call is one **epoch**:
+//! Time advances through [`Machine::advance`], or through
+//! [`Machine::advance_until`], which also finds when processes finish
+//! their compute targets and, on machines without shared-resource
+//! domains, walks the noise edges up to that instant inside one call.
+//! Each `advance` call is one **epoch**:
 //! the interval `[now, now + dt)` is split into share-group shards that
 //! step privately — segmenting at their *own* noise boundaries, entering
 //! and exiting handler windows for their own contexts, and accumulating
@@ -146,12 +150,18 @@ pub enum Segmentation {
     /// noise windows and foreign boundaries no longer chop its
     /// `CoreModel::advance` windows; cores sharing an L2 keep exact cut
     /// parity with the reference so the cross-core cache-access
-    /// interleaving contract is preserved.
+    /// interleaving contract is preserved. On a machine where no core
+    /// shares an L2, [`Machine::advance_until`] walks noise edges on
+    /// these calendars inside one call.
     #[default]
     Calendar,
     /// The original implementation: every segment pays an O(sources)
     /// linear scan for the next boundary and an O(contexts × sources)
-    /// scan to sync handler state. Kept as the differential reference.
+    /// scan to sync handler state. Under it, [`Machine::advance_until`]
+    /// never walks noise: every noise boundary ends a step, which is the
+    /// event trajectory the engine had before the walk existed. Kept as
+    /// the differential reference for both the calendar epochs and the
+    /// walk.
     Reference,
 }
 
@@ -201,6 +211,12 @@ pub struct Machine {
     /// Did a non-contiguous share-group layout collapse the plan to one
     /// shard?
     shard_collapsed: bool,
+    /// No core reports a share group (every meso machine), so
+    /// [`Machine::advance_until`] may walk noise edges core by core.
+    unshared: bool,
+    /// Per-core scratch of that walk, sized by the first walk (a
+    /// machine that never walks never allocates it).
+    walk: Vec<CoreWalk>,
     /// The MPI busy-wait loop ([`spin_workload`]), built once and cloned
     /// into every wait.
     spin: Workload,
@@ -218,6 +234,7 @@ impl Machine {
     pub fn new(cores: Vec<Box<dyn CoreModel>>, kernel: KernelConfig) -> Machine {
         let n = cores.len();
         let (shard_bounds, shard_collapsed) = Self::shard_plan(&cores);
+        let unshared = cores.iter().all(|c| c.share_group().is_none());
         let mut m = Machine {
             cores,
             kernel,
@@ -236,6 +253,8 @@ impl Machine {
             domains: (0..n).map(|_| DomainCalendar::default()).collect(),
             shard_bounds,
             shard_collapsed,
+            unshared,
+            walk: Vec::new(),
             spin: spin_workload(),
         };
         // Idle contexts start at the kernel's idle priority so they donate
@@ -588,8 +607,11 @@ impl Machine {
     }
 
     /// Steady-state estimate of cycles for `pid` to retire `n` more
-    /// instructions, ignoring future noise windows (the caller bounds steps
-    /// with [`Machine::next_boundary`]).
+    /// instructions under the machine's current state, ignoring future
+    /// noise windows; `None` while the process is not running, sits in a
+    /// handler window or spins. [`Machine::advance_until`] asks this of
+    /// every target at each step it does not walk itself, and re-asks it
+    /// of the targets on a core whose handler state flips during a walk.
     pub fn cycles_to_retire(&self, pid: usize, n: u64) -> Option<Cycles> {
         let pcb = self.procs.get(&pid)?;
         if pcb.state != ProcRunState::Running {
@@ -623,6 +645,124 @@ impl Machine {
     /// changes state, if any source still has one.
     pub fn next_boundary(&self, t: Cycles) -> Option<Cycles> {
         self.noise.iter().filter_map(|s| s.next_boundary(t)).min()
+    }
+
+    /// Advance to the first of: `bound` cycles from now (the caller's
+    /// next event), the instant a process in `targets` reaches its
+    /// retired-instruction target, or `limit` cycles from now. Each
+    /// target is `(pid, retired target)`; the return value is the number
+    /// of cycles advanced. Returns `None` without advancing when the step
+    /// would have no end: there is no bound, and either no target at all
+    /// (noise alone never ends a wait) or no target with a completion
+    /// time and no noise edge ahead.
+    ///
+    /// How noise edges are crossed depends on the machine:
+    ///
+    /// * **No shared-resource domain** (every meso machine) with noise,
+    ///   under [`Segmentation::Calendar`]: one call walks every noise
+    ///   edge before the stop, core by core in time order, applying
+    ///   handler flips where they fall. After a flip only the targets on
+    ///   the flipped core are re-predicted (both of its contexts: a
+    ///   sibling's handler changes the other context's rate); the other
+    ///   cores' completion times still hold, because their configuration
+    ///   did not change and their `CoreModel::advance` is
+    ///   split-invariant. A flip falling on the stop instant is applied
+    ///   before returning, as [`Machine::advance`] applies flips at its
+    ///   epoch end. The walk steps sequentially, whatever the runner.
+    /// * **Anything else** — shared-L2 (cycle) machines,
+    ///   [`Segmentation::Reference`], noise-free machines: one
+    ///   [`Machine::advance`] epoch, bounded by [`Machine::next_boundary`]
+    ///   and the targets' current [`Machine::cycles_to_retire`]. A noise
+    ///   edge then ends the step, and the caller calls again.
+    ///
+    /// Both shapes visit the same machine states at every instant where a
+    /// target completes or the bound falls, so the caller's trajectory is
+    /// the same; the walk only stops less often. Without a runner, a
+    /// call allocates nothing once the machine is warm.
+    pub fn advance_until(
+        &mut self,
+        bound: Option<Cycles>,
+        limit: Cycles,
+        targets: &[(usize, u64)],
+    ) -> Option<Cycles> {
+        if bound.is_none() && targets.is_empty() {
+            return None;
+        }
+        let limit = limit.max(1);
+        if self.unshared && !self.noise.is_empty() && self.segmentation == Segmentation::Calendar {
+            return self.walk(bound, limit, targets);
+        }
+        let mut next = bound;
+        let mut consider = |dt: Cycles| next = Some(next.map_or(dt, |n| n.min(dt)));
+        for &(pid, goal) in targets {
+            let remaining = goal.saturating_sub(self.retired(pid));
+            if remaining == 0 {
+                consider(1);
+            } else if let Some(dt) = self.cycles_to_retire(pid, remaining) {
+                consider(dt);
+            }
+        }
+        if let Some(b) = self.next_boundary(self.now) {
+            consider(b - self.now);
+        }
+        let dt = next?.clamp(1, limit);
+        self.advance(dt);
+        Some(dt)
+    }
+
+    /// The noise walk of [`Machine::advance_until`]: the whole machine as
+    /// one shard of single-core conflict domains.
+    fn walk(
+        &mut self,
+        bound: Option<Cycles>,
+        limit: Cycles,
+        targets: &[(usize, u64)],
+    ) -> Option<Cycles> {
+        self.walk.resize(self.cores.len(), CoreWalk::default());
+        for w in &mut self.walk {
+            w.goal = [None; 2];
+        }
+        for &(pid, goal) in targets {
+            if let Some(pcb) = self.procs.get(&pid) {
+                let a = pcb.affinity;
+                self.walk[a.core].goal[a.thread.index()] = Some(goal);
+            }
+        }
+        let start = self.now;
+        let mode = self.segmentation;
+        let Machine {
+            cores,
+            kernel,
+            procs,
+            ctx_owner,
+            ctx_state,
+            noise,
+            noise_index,
+            acct_scratch,
+            domains,
+            walk,
+            ..
+        } = self;
+        acct_scratch.clear();
+        acct_scratch.resize(cores.len(), [CtxAcct::default(); 2]);
+        let mut shard = Shard {
+            base: 0,
+            cores,
+            ctx_state,
+            acct: acct_scratch,
+            domains,
+            ctx_owner,
+            procs,
+            noise,
+            noise_index,
+            kernel,
+            mode,
+        };
+        let end = start + bound.map_or(limit, |b| b.clamp(1, limit));
+        let stop = shard.walk(walk, start, end, bound.is_some())?;
+        self.fold_accounting();
+        self.now = stop;
+        Some(stop - start)
     }
 
     /// Advance simulated time by `dt` cycles, delivering noise windows and
@@ -748,13 +888,19 @@ impl Machine {
             }
         }
 
-        // The merge point: fold per-context deltas into the PCBs, in core
-        // order (deterministic regardless of how the epoch was scheduled).
-        for (core_idx, pair) in acct_scratch.iter().enumerate() {
+        self.fold_accounting();
+        self.now = end;
+    }
+
+    /// The merge point: fold the per-context deltas of the step just taken
+    /// into the PCBs, in core order (deterministic regardless of how the
+    /// step was scheduled).
+    fn fold_accounting(&mut self) {
+        for (core_idx, pair) in self.acct_scratch.iter().enumerate() {
             for t in ThreadId::BOTH {
-                if let Some(pid) = ctx_owner[core_idx][t.index()] {
+                if let Some(pid) = self.ctx_owner[core_idx][t.index()] {
                     let a = pair[t.index()];
-                    let pcb = procs.get_mut(&pid).expect("owner pid exists");
+                    let pcb = self.procs.get_mut(&pid).expect("owner pid exists");
                     pcb.retired += a.retired;
                     pcb.busy_cycles += a.busy;
                     pcb.spin_cycles += a.spin;
@@ -762,7 +908,6 @@ impl Machine {
                 }
             }
         }
-        self.now = end;
     }
 
     /// The shard plan: boundaries (as a fencepost list `[0, ..., n]`)
@@ -929,6 +1074,19 @@ struct DomainCalendar {
     at: Option<Cycles>,
 }
 
+/// One core's scratch during a [`Machine::advance_until`] walk.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreWalk {
+    /// The time the core has been stepped to.
+    at: Cycles,
+    /// Per context: the retired count its process must reach, when the
+    /// process is a target.
+    goal: [Option<u64>; 2],
+    /// Per context: the instant it reaches `goal` under the core's
+    /// current configuration.
+    due: [Option<Cycles>; 2],
+}
+
 /// One shard of an epoch: a contiguous run of cores (whole share-group
 /// domains) with exclusive mutable access to their models, context state
 /// and accounting scratch, plus shared read access to the process table,
@@ -1093,17 +1251,13 @@ impl Shard<'_> {
         start: Cycles,
         end: Cycles,
     ) {
-        let single = d1 - d0 == 1;
-        let nctx = (d1 - d0) * 2;
-        let core_range = if single { d0..d1 } else { 0..self.cores.len() };
-
         // Source-free fast path: with no boundary anywhere in the range
         // that could cut this domain, the epoch is one fused segment and
         // no handler state can change — skip the calendar and its
         // scratch entirely. This keeps noise-free epochs at reference
         // cost instead of charging them calendar upkeep.
-        let quiet = core_range
-            .clone()
+        let quiet = self
+            .cut_range(d0, d1)
             .all(|k| self.noise_index[self.base + k].is_empty());
         if quiet {
             for k in d0..d1 {
@@ -1135,6 +1289,54 @@ impl Shard<'_> {
             return;
         }
 
+        let single = d1 - d0 == 1;
+        self.open_domain(dom, d0, d1, start);
+        let mut t = start;
+        while t < end {
+            // Find the next cut <= end: the next boundary where some
+            // domain context's aggregate handler state flips (single-core
+            // domains fuse no-flip boundaries) or, for shared-L2 domains,
+            // simply the next owned boundary.
+            let mut cut = end;
+            while let Some(b) = dom.cal.next_boundary() {
+                if b >= end {
+                    break;
+                }
+                if self.drain(dom, d0, d1, b) || !single {
+                    cut = b;
+                    break;
+                }
+            }
+            // One fused segment [t, cut) for every core of the domain.
+            self.step_domain(dom, d0, d1, cut - t);
+            t = cut;
+            if t < end {
+                self.apply_flips(dom, d0, d1);
+            }
+        }
+        self.close_domain(dom, d0, d1, end);
+    }
+
+    /// The shard-local cores whose noise can cut domain `d0..d1`: a
+    /// single-core domain only ever cuts at its own two contexts'
+    /// boundaries; a multi-core domain must cut at every boundary the
+    /// *shard* owns (reference cut parity).
+    fn cut_range(&self, d0: usize, d1: usize) -> std::ops::Range<usize> {
+        if d1 - d0 == 1 {
+            d0..d1
+        } else {
+            0..self.cores.len()
+        }
+    }
+
+    /// Open an epoch of domain `d0..d1` at `start`: reuse the calendar if
+    /// it sits at `start`, else rebuild it there in place; apply the
+    /// handler state at `start` (what the reference's first
+    /// `sync_handlers(t)` call does for these contexts); then cache the
+    /// run state and accounting mode per context — neither can change
+    /// mid-epoch except at handler flips.
+    fn open_domain(&mut self, dom: &mut DomainCalendar, d0: usize, d1: usize, start: Cycles) {
+        let nctx = (d1 - d0) * 2;
         let DomainCalendar {
             cal,
             counts,
@@ -1143,17 +1345,14 @@ impl Shard<'_> {
             at,
         } = dom;
         if *at != Some(start) {
-            // Seed cursors at `start`, in place. A single-core domain
-            // only ever cuts at its own two contexts' boundaries; a
-            // multi-core domain must cut at every boundary the *shard*
-            // owns (reference cut parity), with foreign contexts mapped
-            // to the ignore slot `nctx`.
+            // Seed cursors at `start`. Foreign contexts of a multi-core
+            // domain's cut range map to the ignore slot `nctx`.
             cal.clear();
             counts.clear();
             counts.resize(nctx, 0);
             running.resize(nctx, false);
             mode.resize(nctx, CtxMode::OFF);
-            for k in core_range {
+            for k in self.cut_range(d0, d1) {
                 for &i in &self.noise_index[self.base + k] {
                     let s = &self.noise[i as usize];
                     let ti = s.target.thread.index();
@@ -1170,11 +1369,6 @@ impl Shard<'_> {
                 }
             }
         }
-
-        // Epoch-start handler sync (what the reference's first
-        // `sync_handlers(t)` call does for these contexts), then cache
-        // the run state and accounting mode per context — neither can
-        // change mid-epoch except at handler flips.
         for k in d0..d1 {
             for th in ThreadId::BOTH {
                 let ti = th.index();
@@ -1185,94 +1379,179 @@ impl Shard<'_> {
                 mode[slot] = self.ctx_mode(k, ti, running[slot]);
             }
         }
+    }
 
-        let mut t = start;
-        while t < end {
-            // Find the next cut <= end: the next boundary where some
-            // domain context's aggregate handler state flips (single-core
-            // domains fuse no-flip boundaries) or, for shared-L2 domains,
-            // simply the next owned boundary.
-            let mut cut = end;
-            while let Some(b) = cal.next_boundary() {
-                if b >= end {
-                    break;
-                }
-                let mut flipped = false;
-                let ctx_state = &self.ctx_state;
-                cal.advance_to(b, |slot, active| {
-                    if slot < nctx {
-                        if active {
-                            counts[slot] += 1;
-                        } else {
-                            counts[slot] -= 1;
-                        }
-                        let (k, ti) = (d0 + slot / 2, slot & 1);
-                        if (counts[slot] > 0) != ctx_state[k][ti].in_handler {
-                            flipped = true;
-                        }
-                    }
-                });
-                if flipped || !single {
-                    cut = b;
-                    break;
-                }
-            }
-
-            // One fused segment [t, cut) for every core of the domain.
-            let seg = cut - t;
-            for k in d0..d1 {
-                let retired = self.cores[k].advance(seg);
-                for (ti, &r) in retired.iter().enumerate() {
-                    let slot = (k - d0) * 2 + ti;
-                    let m = mode[slot];
-                    let a = &mut self.acct[k][ti];
-                    if m.count {
-                        a.retired += r;
-                    }
-                    match m.bucket {
-                        Bucket::Irq => a.irq += seg,
-                        Bucket::Busy => a.busy += seg,
-                        Bucket::Spin => a.spin += seg,
-                        Bucket::Off => {}
-                    }
-                }
-            }
-            t = cut;
-            if t < end {
-                // Apply the handler flips at the cut, refreshing the
-                // cached mode of exactly the contexts that changed.
-                for k in d0..d1 {
-                    for th in ThreadId::BOTH {
-                        let ti = th.index();
-                        let slot = (k - d0) * 2 + ti;
-                        let desired = counts[slot] > 0;
-                        if desired != self.ctx_state[k][ti].in_handler {
-                            self.apply_handler_state(k, th, desired);
-                            mode[slot] = self.ctx_mode(k, ti, running[slot]);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Epoch-end sync (the reference's trailing `sync_handlers(end)`):
-        // drain boundaries falling exactly on the epoch bound, then apply.
-        cal.advance_to(end, |slot, active| {
+    /// Fold the domain calendar's boundaries at `b` into the per-context
+    /// active counts; true when some domain context's aggregate handler
+    /// state now differs from its flag (a flip [`Shard::apply_flips`]
+    /// will apply).
+    fn drain(&self, dom: &mut DomainCalendar, d0: usize, d1: usize, b: Cycles) -> bool {
+        let nctx = (d1 - d0) * 2;
+        let DomainCalendar { cal, counts, .. } = dom;
+        let mut flipped = false;
+        cal.advance_to(b, |slot, active| {
             if slot < nctx {
                 if active {
                     counts[slot] += 1;
                 } else {
                     counts[slot] -= 1;
                 }
+                let (k, ti) = (d0 + slot / 2, slot & 1);
+                if (counts[slot] > 0) != self.ctx_state[k][ti].in_handler {
+                    flipped = true;
+                }
             }
         });
+        flipped
+    }
+
+    /// Step every core of domain `d0..d1` by `seg` cycles under the cached
+    /// accounting modes.
+    fn step_domain(&mut self, dom: &DomainCalendar, d0: usize, d1: usize, seg: Cycles) {
         for k in d0..d1 {
-            for th in ThreadId::BOTH {
-                let slot = (k - d0) * 2 + th.index();
-                self.apply_handler_state(k, th, counts[slot] > 0);
+            let retired = self.cores[k].advance(seg);
+            for (ti, &r) in retired.iter().enumerate() {
+                let m = dom.mode[(k - d0) * 2 + ti];
+                let a = &mut self.acct[k][ti];
+                if m.count {
+                    a.retired += r;
+                }
+                match m.bucket {
+                    Bucket::Irq => a.irq += seg,
+                    Bucket::Busy => a.busy += seg,
+                    Bucket::Spin => a.spin += seg,
+                    Bucket::Off => {}
+                }
             }
         }
-        *at = Some(end);
+    }
+
+    /// Apply the handler state the counts ask for, refreshing the cached
+    /// mode of exactly the contexts that flip.
+    fn apply_flips(&mut self, dom: &mut DomainCalendar, d0: usize, d1: usize) {
+        for k in d0..d1 {
+            for th in ThreadId::BOTH {
+                let ti = th.index();
+                let slot = (k - d0) * 2 + ti;
+                let desired = dom.counts[slot] > 0;
+                if desired != self.ctx_state[k][ti].in_handler {
+                    self.apply_handler_state(k, th, desired);
+                    dom.mode[slot] = self.ctx_mode(k, ti, dom.running[slot]);
+                }
+            }
+        }
+    }
+
+    /// Close the domain's epoch at `end` (the reference's trailing
+    /// `sync_handlers(end)`): drain boundaries falling exactly on `end`,
+    /// apply them, and leave the calendar positioned there.
+    fn close_domain(&mut self, dom: &mut DomainCalendar, d0: usize, d1: usize, end: Cycles) {
+        self.drain(dom, d0, d1, end);
+        self.apply_flips(dom, d0, d1);
+        dom.at = Some(end);
+    }
+
+    /// The walk of [`Machine::advance_until`] over a shard of single-core
+    /// domains (the whole machine). Each core opens an epoch at `start`
+    /// on its own calendar; then the walk visits the cores' boundaries in
+    /// time order (lowest core first on ties), stepping a core only when
+    /// its handler state flips, and only up to the flip, so a boundary
+    /// that flips nothing costs a heap pop. After a flip the core's
+    /// targets are re-predicted. The walk stops at the earliest of `end`
+    /// and every context's due instant; every core then steps to the
+    /// stop and closes its epoch there, applying flips that fall on it.
+    ///
+    /// Exactness: cores share nothing, `CoreModel::advance` is
+    /// split-invariant and the accounting is linear under a fixed mode,
+    /// so each core's state at the stop matches one stepped through the
+    /// same flips in epochs ending at every boundary — what
+    /// [`Shard::advance_domain`] does when the caller stops at each.
+    ///
+    /// When the step is unbounded (`!bounded`), no context is due and no
+    /// boundary lies ahead, nothing can ever complete: the walk stops at
+    /// the last boundary it crossed, where a caller stepping boundary by
+    /// boundary would have found no next event, or returns `None`,
+    /// advancing nothing, if it crossed none.
+    fn walk(
+        &mut self,
+        walk: &mut [CoreWalk],
+        start: Cycles,
+        end: Cycles,
+        bounded: bool,
+    ) -> Option<Cycles> {
+        let domains = std::mem::take(&mut self.domains);
+        for (k, w) in walk.iter_mut().enumerate() {
+            self.open_domain(&mut domains[k], k, k + 1, start);
+            w.at = start;
+            self.predict(w, k, start);
+        }
+        let mut crossed = start;
+        let stop = loop {
+            let stop = walk
+                .iter()
+                .flat_map(|w| w.due)
+                .flatten()
+                .fold(end, Cycles::min);
+            let edge = domains
+                .iter()
+                .enumerate()
+                .filter_map(|(k, d)| d.cal.next_boundary().map(|b| (b, k)))
+                .min();
+            match edge {
+                Some((b, k)) if b < stop => {
+                    crossed = b;
+                    let dom = &mut domains[k];
+                    if self.drain(dom, k, k + 1, b) {
+                        self.step_domain(dom, k, k + 1, b - walk[k].at);
+                        walk[k].at = b;
+                        self.apply_flips(dom, k, k + 1);
+                        self.predict(&mut walk[k], k, b);
+                    }
+                }
+                None if !bounded && walk.iter().all(|w| w.due == [None; 2]) => {
+                    if crossed == start {
+                        self.domains = domains;
+                        return None;
+                    }
+                    break crossed;
+                }
+                _ => break stop,
+            }
+        };
+        for (k, w) in walk.iter().enumerate() {
+            let dom = &mut domains[k];
+            if stop > w.at {
+                self.step_domain(dom, k, k + 1, stop - w.at);
+            }
+            self.close_domain(dom, k, k + 1, stop);
+        }
+        self.domains = domains;
+        Some(stop)
+    }
+
+    /// Re-predict when core `k`, standing at `t`, completes each target.
+    fn predict(&self, w: &mut CoreWalk, k: usize, t: Cycles) {
+        for ti in 0..2 {
+            w.due[ti] = w.goal[ti].and_then(|goal| self.due(k, ti, goal, t));
+        }
+    }
+
+    /// The instant context `ti` of core `k`, standing at `t`, has retired
+    /// `goal` instructions for its process: [`Machine::cycles_to_retire`]
+    /// of what is left, counting what the walk retired so far.
+    fn due(&self, k: usize, ti: usize, goal: u64, t: Cycles) -> Option<Cycles> {
+        let pcb = &self.procs[&self.ctx_owner[k][ti]?];
+        let st = &self.ctx_state[k][ti];
+        if pcb.state != ProcRunState::Running || st.in_handler || !st.counting {
+            return None;
+        }
+        let remaining = goal.saturating_sub(pcb.retired + self.acct[k][ti].retired);
+        if remaining == 0 {
+            return Some(t + 1);
+        }
+        self.cores[k]
+            .cycles_to_retire(ThreadId::from_index(ti), remaining)
+            .map(|dt| t + dt)
     }
 
     /// The accounting decision for one context under its current handler

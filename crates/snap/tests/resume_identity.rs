@@ -1,8 +1,10 @@
 //! Resume identity: `run(0..T)` must equal
 //! `run(0..k) → snapshot → file → restore → run(k..T)` bit for bit —
 //! for random seeds, priorities, placements, split points, stepping
-//! modes and thread counts — and corrupt snapshot files must be
-//! rejected by the framing layer, never handed to the decoder.
+//! modes, thread counts, noise sources and kernels, including splits
+//! taken while a noise handler window is open — and corrupt snapshot
+//! files must be rejected by the framing layer, never handed to the
+//! decoder.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +13,8 @@ use mtb_core::balance::{execute, execute_chunked, prepare, CheckpointSink, Stati
 use mtb_core::PrioritySetting;
 use mtb_mpisim::engine::RunResult;
 use mtb_mpisim::{Engine, NullObserver, Stepping};
-use mtb_oskernel::CtxAddr;
+use mtb_oskernel::{CtxAddr, KernelConfig, NoiseSource};
+use mtb_smtsim::PrivilegeLevel;
 use mtb_snap::{fnv1a, read_snapshot, state_hash, write_snapshot, SnapError};
 use mtb_workloads::synthetic::SyntheticConfig;
 use proptest::prelude::*;
@@ -47,17 +50,82 @@ struct Params {
     stepping: Stepping,
     threads: usize,
     cycle: bool,
+    noise: Vec<NoiseSource>,
+    vanilla: bool,
 }
 
 fn mk_run<'a>(progs: &'a [mtb_mpisim::Program], p: &Params) -> StaticRun<'a> {
+    let mut prios = p.prios.clone();
+    let mut kernel = KernelConfig::patched();
+    if p.vanilla {
+        // No procfs on a stock kernel: the user-space or-nop reaches 2..=4.
+        kernel = KernelConfig::vanilla();
+        for s in &mut prios {
+            if let PrioritySetting::ProcFs(v) = *s {
+                *s = PrioritySetting::OrNop(v.clamp(2, 4), PrivilegeLevel::User);
+            }
+        }
+    }
     let mut run = StaticRun::new(progs, p.placement.clone())
-        .with_priorities(p.prios.clone())
+        .with_priorities(prios)
+        .with_kernel(kernel)
+        .with_noise(p.noise.clone())
         .with_stepping(p.stepping)
         .with_threads(p.threads);
     if p.cycle {
         run = run.cycle_accurate();
     }
     run
+}
+
+/// One random noise source on one of the 4 contexts: periodic, or a
+/// one-shot window when `kind` is 3. Windows take up to 60% of the
+/// period, so many engine events fall inside one.
+fn noise_source(kind: u8, cpu: usize, period: u64, cost_pct: u64, phase: u64) -> NoiseSource {
+    let cost = (period * cost_pct / 100).clamp(1, period - 1);
+    let target = CtxAddr::from_cpu(cpu);
+    if kind == 3 {
+        NoiseSource::once("once", target, phase, cost)
+    } else {
+        NoiseSource {
+            name: format!("n{kind}"),
+            target,
+            period,
+            cost,
+            phase,
+            one_shot: false,
+        }
+    }
+}
+
+fn synthetic(p: &Params) -> SyntheticConfig {
+    SyntheticConfig {
+        base_work: if p.cycle { 30_000 } else { 80_000 },
+        iterations: 2,
+        seed: p.seed,
+        ..Default::default()
+    }
+}
+
+/// The event counts after which some context of `p`'s run sits inside a
+/// noise handler window, in order.
+fn splits_in_handler_windows(p: &Params) -> Vec<u64> {
+    let progs = synthetic(p).programs();
+    let mut engine = prepare(&mk_run(&progs, p)).unwrap();
+    let mut splits = Vec::new();
+    while !engine.step_events(&mut NullObserver, 1).unwrap() {
+        let open = engine
+            .save_state()
+            .machine
+            .ctx_state
+            .iter()
+            .flatten()
+            .any(|c| c.in_handler);
+        if open {
+            splits.push(engine.events());
+        }
+    }
+    splits
 }
 
 fn finish(mut engine: Engine) -> RunResult {
@@ -71,13 +139,7 @@ fn finish(mut engine: Engine) -> RunResult {
 /// results must be equal (RunResult includes full timelines, stats and
 /// comm logs, so equality is bit-identity of everything observable).
 fn assert_resume_identity(p: &Params, split: u64) {
-    let cfg = SyntheticConfig {
-        base_work: if p.cycle { 30_000 } else { 80_000 },
-        iterations: 2,
-        seed: p.seed,
-        ..Default::default()
-    };
-    let progs = cfg.programs();
+    let progs = synthetic(p).programs();
     let whole = finish(prepare(&mk_run(&progs, p)).unwrap());
 
     let mut first = prepare(&mk_run(&progs, p)).unwrap();
@@ -120,9 +182,11 @@ proptest! {
         raw_prios in (1u8..=6, 1u8..=6),
         perm in 0usize..24,
         split in 1u64..60,
-        knobs in (0usize..2, 0usize..2),
+        knobs in (0usize..2, 0usize..2, 0usize..2),
+        noise in proptest::collection::vec(
+            (0u8..4, 0usize..4, 2_000u64..60_000, 1u64..60, 0u64..80_000), 0..4),
     ) {
-        let (threads_sel, stepping_sel) = knobs;
+        let (threads_sel, stepping_sel, kernel_sel) = knobs;
         let p = Params {
             seed,
             prios: vec![
@@ -135,6 +199,21 @@ proptest! {
             stepping: [Stepping::EventHorizon, Stepping::Quantum][stepping_sel],
             threads: [1, 4][threads_sel],
             cycle: false,
+            noise: noise
+                .iter()
+                .map(|&(kind, cpu, period, cost_pct, phase)| {
+                    noise_source(kind, cpu, period, cost_pct, phase)
+                })
+                .collect(),
+            vanilla: kernel_sel == 1,
+        };
+        // Prefer a split taken while a handler window is open: the
+        // resumed machine must rebuild its noise calendars mid-window.
+        let open = splits_in_handler_windows(&p);
+        let split = if open.is_empty() {
+            split
+        } else {
+            open[split as usize % open.len()]
         };
         assert_resume_identity(&p, split);
     }
@@ -156,6 +235,8 @@ proptest! {
             stepping: [Stepping::EventHorizon, Stepping::Quantum][stepping_sel],
             threads: 1,
             cycle: true,
+            noise: Vec::new(),
+            vanilla: false,
         };
         assert_resume_identity(&p, split);
     }
