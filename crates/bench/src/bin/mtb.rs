@@ -199,9 +199,18 @@ fn print_result(label: &str, r: &RunResult, gantt: bool) {
         r.metrics.imbalance_pct
     );
     for p in &r.metrics.procs {
+        // The timelines never enter `ProcState::Interrupt` (noise windows
+        // suspend a rank inside its current state), so the stolen share
+        // comes from the kernel's per-rank accounting.
+        let stolen = r.interrupt_cycles.get(p.pid).copied().unwrap_or(0);
+        let interrupted = if r.total_cycles == 0 {
+            0.0
+        } else {
+            100.0 * stolen as f64 / r.total_cycles as f64
+        };
         println!(
             "  {}: comp {:5.2}%  sync {:5.2}%  comm {:4.2}%  interrupted {:4.2}%",
-            p.label, p.comp_pct, p.sync_pct, p.comm_pct, p.interrupt_pct
+            p.label, p.comp_pct, p.sync_pct, p.comm_pct, interrupted
         );
     }
     if gantt {

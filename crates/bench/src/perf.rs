@@ -16,7 +16,10 @@
 //! cycles/second, and the speedup; sweep summaries aggregate by total
 //! wall-clock ratio and by geometric mean of the per-case speedups.
 //! A sweep with *any* drift (non-identical outputs) is a failure — the
-//! speedup of a wrong simulation is meaningless.
+//! speedup of a wrong simulation is meaningless. The report records the
+//! host's `available_parallelism`; a scaling sweep asking for more worker
+//! threads than that is marked `unmeasurable` and quotes no speedup, since
+//! its workers would share the host's CPUs.
 
 use crate::json::Json;
 use crate::lint::record_hash;
@@ -126,20 +129,25 @@ impl BenchEntry {
         self.sim_cycles as f64 / self.wall_fast_s.max(1e-9) / 1e6
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
+    fn to_json(&self, unmeasurable: bool) -> Json {
+        let mut fields = vec![
             ("sweep".into(), Json::Str(self.sweep.into())),
             ("case".into(), Json::Str(self.case.clone())),
             ("sim_cycles".into(), Json::UInt(self.sim_cycles)),
             ("wall_fast_s".into(), Json::Float(self.wall_fast_s)),
             ("wall_ref_s".into(), Json::Float(self.wall_ref_s)),
-            ("speedup".into(), Json::Float(self.speedup())),
-            (
-                "mcycles_per_s_fast".into(),
-                Json::Float(self.mcycles_per_s_fast()),
-            ),
-            ("identical".into(), Json::Bool(self.identical)),
-        ])
+        ];
+        if unmeasurable {
+            fields.push(("unmeasurable".into(), Json::Bool(true)));
+        } else {
+            fields.push(("speedup".into(), Json::Float(self.speedup())));
+        }
+        fields.push((
+            "mcycles_per_s_fast".into(),
+            Json::Float(self.mcycles_per_s_fast()),
+        ));
+        fields.push(("identical".into(), Json::Bool(self.identical)));
+        Json::Obj(fields)
     }
 }
 
@@ -161,10 +169,14 @@ pub struct SweepSummary {
     pub speedup_geomean: f64,
     /// True only if every case in the sweep was drift-free.
     pub all_identical: bool,
+    /// A scaling sweep whose thread count exceeds the host's
+    /// `available_parallelism`: its speedups measure CPU sharing, not
+    /// scaling, so the report quotes none.
+    pub unmeasurable: bool,
 }
 
 impl SweepSummary {
-    fn of(name: &'static str, entries: &[BenchEntry]) -> SweepSummary {
+    fn of(name: &'static str, entries: &[BenchEntry], unmeasurable: bool) -> SweepSummary {
         let mine: Vec<&BenchEntry> = entries.iter().filter(|e| e.sweep == name).collect();
         let wall_fast_s: f64 = mine.iter().map(|e| e.wall_fast_s).sum();
         let wall_ref_s: f64 = mine.iter().map(|e| e.wall_ref_s).sum();
@@ -181,19 +193,24 @@ impl SweepSummary {
             speedup_total: wall_ref_s / wall_fast_s.max(1e-9),
             speedup_geomean: geomean,
             all_identical: mine.iter().all(|e| e.identical),
+            unmeasurable,
         }
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut fields = vec![
             ("name".into(), Json::Str(self.name.into())),
             ("cases".into(), Json::UInt(self.cases as u64)),
             ("wall_fast_s".into(), Json::Float(self.wall_fast_s)),
             ("wall_ref_s".into(), Json::Float(self.wall_ref_s)),
-            ("speedup_total".into(), Json::Float(self.speedup_total)),
-            ("speedup_geomean".into(), Json::Float(self.speedup_geomean)),
-            ("all_identical".into(), Json::Bool(self.all_identical)),
-        ])
+        ];
+        if !self.unmeasurable {
+            fields.push(("speedup_total".into(), Json::Float(self.speedup_total)));
+            fields.push(("speedup_geomean".into(), Json::Float(self.speedup_geomean)));
+        }
+        fields.push(("all_identical".into(), Json::Bool(self.all_identical)));
+        fields.push(("unmeasurable".into(), Json::Bool(self.unmeasurable)));
+        Json::Obj(fields)
     }
 }
 
@@ -202,6 +219,8 @@ impl SweepSummary {
 pub struct BenchReport {
     /// Smoke mode (reduced cycle counts)?
     pub smoke: bool,
+    /// `std::thread::available_parallelism` of the host that ran it.
+    pub available_parallelism: usize,
     /// Every measured case.
     pub entries: Vec<BenchEntry>,
 }
@@ -217,21 +236,20 @@ impl BenchReport {
         }
         names
             .into_iter()
-            .map(|n| SweepSummary::of(n, &self.entries))
+            .map(|n| SweepSummary::of(n, &self.entries, self.unmeasurable(n)))
             .collect()
+    }
+
+    /// Does `sweep` run at more worker threads than the host has?
+    fn unmeasurable(&self, sweep: &str) -> bool {
+        SCALING_THREADS
+            .iter()
+            .any(|&(threads, name)| name == sweep && threads > self.available_parallelism)
     }
 
     /// True only if every case in every sweep was drift-free.
     pub fn all_identical(&self) -> bool {
         self.entries.iter().all(|e| e.identical)
-    }
-
-    /// Best sweep-level speedup (geometric mean) across sweeps.
-    pub fn best_sweep_speedup(&self) -> f64 {
-        self.sweeps()
-            .iter()
-            .map(|s| s.speedup_geomean)
-            .fold(0.0, f64::max)
     }
 
     /// The `BENCH_sim.json` document.
@@ -240,6 +258,10 @@ impl BenchReport {
             ("schema".into(), Json::UInt(crate::harness::SCHEMA_VERSION)),
             ("kind".into(), Json::Str("mtb-bench".into())),
             ("smoke".into(), Json::Bool(self.smoke)),
+            (
+                "available_parallelism".into(),
+                Json::UInt(self.available_parallelism as u64),
+            ),
             ("all_identical".into(), Json::Bool(self.all_identical())),
             (
                 "sweeps".into(),
@@ -247,7 +269,12 @@ impl BenchReport {
             ),
             (
                 "entries".into(),
-                Json::Arr(self.entries.iter().map(BenchEntry::to_json).collect()),
+                Json::Arr(
+                    self.entries
+                        .iter()
+                        .map(|e| e.to_json(self.unmeasurable(e.sweep)))
+                        .collect(),
+                ),
             ),
         ])
         .render()
@@ -261,15 +288,24 @@ impl BenchReport {
             "sweep", "cases", "ref wall", "fast wall", "total", "geomean"
         ));
         for s in self.sweeps() {
+            let speedups = if s.unmeasurable {
+                format!("{:>19}", "unmeasurable")
+            } else {
+                format!("{:>8.1}x {:>8.1}x", s.speedup_total, s.speedup_geomean)
+            };
             out.push_str(&format!(
-                "{:22} {:>6} {:>9.2}ms {:>9.2}ms {:>8.1}x {:>8.1}x  {}\n",
+                "{:22} {:>6} {:>9.2}ms {:>9.2}ms {speedups}  {}\n",
                 s.name,
                 s.cases,
                 s.wall_ref_s * 1e3,
                 s.wall_fast_s * 1e3,
-                s.speedup_total,
-                s.speedup_geomean,
                 if s.all_identical { "none" } else { "DRIFT" }
+            ));
+        }
+        if self.sweeps().iter().any(|s| s.unmeasurable) {
+            out.push_str(&format!(
+                "unmeasurable: more worker threads than this host's available_parallelism ({})\n",
+                self.available_parallelism
             ));
         }
         out
@@ -777,7 +813,11 @@ pub fn run(smoke: bool) -> BenchReport {
     // three cases' compute mixes under dense noise, full-state identity.
     kernel_path_sweeps(smoke, &mut entries);
 
-    BenchReport { smoke, entries }
+    BenchReport {
+        smoke,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        entries,
+    }
 }
 
 #[cfg(test)]
@@ -851,6 +891,7 @@ mod tests {
     fn report_aggregates_and_serializes() {
         let report = BenchReport {
             smoke: true,
+            available_parallelism: 1,
             entries: vec![
                 BenchEntry {
                     sweep: "s",
@@ -883,6 +924,55 @@ mod tests {
             doc.get("sweeps").and_then(|j| j.as_arr()).map(|a| a.len()),
             Some(1)
         );
+    }
+
+    /// A scaling sweep asking for more threads than the host has is
+    /// marked unmeasurable and quotes no speedup, in its summary and its
+    /// entries; one within the host's parallelism quotes both as before.
+    #[test]
+    fn oversubscribed_scaling_rows_are_unmeasurable() {
+        let entry = |sweep: &'static str| BenchEntry {
+            sweep,
+            case: "c".into(),
+            sim_cycles: 100,
+            wall_fast_s: 0.001,
+            wall_ref_s: 0.002,
+            identical: true,
+        };
+        let report = BenchReport {
+            smoke: true,
+            available_parallelism: 2,
+            entries: vec![
+                entry("scaling-2t"),
+                entry("scaling-4t"),
+                entry("kernel-path"),
+            ],
+        };
+        let unmeasurable: Vec<bool> = report.sweeps().iter().map(|s| s.unmeasurable).collect();
+        assert_eq!(unmeasurable, [false, true, false]);
+        let doc = crate::json::Json::parse(&report.to_json()).expect("valid json");
+        assert_eq!(
+            doc.get("available_parallelism").and_then(|j| j.as_u64()),
+            Some(2)
+        );
+        let sweeps = doc.get("sweeps").and_then(|j| j.as_arr()).expect("sweeps");
+        let entries = doc
+            .get("entries")
+            .and_then(|j| j.as_arr())
+            .expect("entries");
+        for (row, marked) in [(0, false), (1, true), (2, false)] {
+            let (s, e) = (&sweeps[row], &entries[row]);
+            assert!(matches!(
+                s.get("unmeasurable"),
+                Some(&crate::json::Json::Bool(b)) if b == marked
+            ));
+            assert_eq!(s.get("speedup_total").is_none(), marked);
+            assert_eq!(s.get("speedup_geomean").is_none(), marked);
+            assert_eq!(e.get("speedup").is_none(), marked);
+        }
+        let text = report.render();
+        assert!(text.contains("unmeasurable"), "{text}");
+        assert!(text.contains("available_parallelism (2)"), "{text}");
     }
 
     // The proptest differential: fast vs reference stepping must agree

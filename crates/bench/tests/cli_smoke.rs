@@ -48,6 +48,45 @@ fn run_executes_a_tiny_case() {
     assert!(stdout.contains("imbalance"));
 }
 
+/// The `interrupted` share of each rank, in rank order.
+fn interrupted_shares(stdout: &str) -> Vec<f64> {
+    stdout
+        .lines()
+        .filter_map(|l| l.split("interrupted ").nth(1))
+        .map(|v| {
+            v.trim_end_matches('%')
+                .trim()
+                .parse()
+                .expect("a percentage")
+        })
+        .collect()
+}
+
+/// Under `--noise` the CPU0 rank (rank 0 of case D's placement, which
+/// the device interrupts hit) shows the cycles the handlers stole; a
+/// noise-free run shows none.
+#[test]
+fn run_reports_interrupted_share_under_noise() {
+    let args = ["run", "--app", "metbench", "--case", "D", "--scale", "1e-3"];
+    let (ok, stdout, stderr) = mtb(&[&args[..], &["--noise", "10"]].concat());
+    assert!(ok, "stderr: {stderr}");
+    let noisy = interrupted_shares(&stdout);
+    assert!(!noisy.is_empty(), "{stdout}");
+    assert!(noisy[0] > 0.0, "CPU0 rank shows no stolen share: {stdout}");
+
+    let (ok, stdout, stderr) = mtb(&args);
+    assert!(ok, "stderr: {stderr}");
+    let quiet = interrupted_shares(&stdout);
+    assert_eq!(quiet.len(), noisy.len(), "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .filter(|l| l.contains("interrupted"))
+            .all(|l| l.ends_with("interrupted 0.00%")),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn run_with_gantt_renders_a_chart() {
     let (ok, stdout, _) = mtb(&[

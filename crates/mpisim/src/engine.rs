@@ -28,13 +28,14 @@
 
 use crate::collective::{EpochKind, SyncEpochs, SyncEpochsState};
 use crate::comm::{CommRankState, CommState, LatencyModel, Message};
-use crate::interp::{collective_signature, flatten, FlatOp};
-use crate::program::{Program, Rank, TracePhase};
+use crate::interp::{for_each_op, FlatOp, OpRef};
+use crate::program::{Program, Rank, Tag, TracePhase, WorkSpec};
 use mtb_oskernel::{
     CtxAddr, KernelConfig, Machine, MachineError, MachineState, NoiseError, NoiseSource,
     Segmentation, Topology, WaitPolicy,
 };
 use mtb_smtsim::chip::{build_cores_grouped, Fidelity};
+use mtb_smtsim::model::Workload;
 use mtb_trace::paraver::CommEvent;
 use mtb_trace::Cycles;
 use mtb_trace::{Interval, ProcState, RunMetrics, Timeline, TimelineBuilder};
@@ -537,6 +538,125 @@ pub struct EngineState {
     pub comm_log: Vec<CommEvent>,
 }
 
+/// A flattened op as the engine keeps it: a [`FlatOp`] whose compute
+/// work names one of the engine's interned workloads
+/// ([`Engine::workloads`]) instead of owning a copy, so building a rank's
+/// list clones no [`Workload`] and dispatch reads a small `Copy` value in
+/// place.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Compute { workload: u32, instructions: u64 },
+    Send { to: Rank, tag: Tag, bytes: u64 },
+    Recv { from: Rank, tag: Tag },
+    Isend { to: Rank, tag: Tag, bytes: u64 },
+    Irecv { from: Rank, tag: Tag },
+    WaitAll,
+    Barrier,
+    AllReduce { bytes: u64 },
+    Bcast { root: Rank, bytes: u64 },
+    Reduce { root: Rank, bytes: u64 },
+    Phase(TracePhase),
+}
+
+impl Op {
+    /// The engine form of one op of [`for_each_op`]'s stream, interning
+    /// its compute workload into `workloads`.
+    fn new(op: OpRef<'_>, workloads: &mut Vec<Workload>) -> Op {
+        let op = match op {
+            OpRef::Work(w) => return Op::compute(w, workloads),
+            OpRef::Op(op) => op,
+        };
+        match op {
+            FlatOp::Compute(w) => Op::compute(&w, workloads),
+            FlatOp::Send { to, tag, bytes } => Op::Send { to, tag, bytes },
+            FlatOp::Recv { from, tag } => Op::Recv { from, tag },
+            FlatOp::Isend { to, tag, bytes } => Op::Isend { to, tag, bytes },
+            FlatOp::Irecv { from, tag } => Op::Irecv { from, tag },
+            FlatOp::WaitAll => Op::WaitAll,
+            FlatOp::Barrier => Op::Barrier,
+            FlatOp::AllReduce { bytes } => Op::AllReduce { bytes },
+            FlatOp::Bcast { root, bytes } => Op::Bcast { root, bytes },
+            FlatOp::Reduce { root, bytes } => Op::Reduce { root, bytes },
+            FlatOp::Phase(p) => Op::Phase(p),
+        }
+    }
+
+    /// Compute work, its workload interned: a value-equal workload (same
+    /// name, stream and profile bits) already in `workloads` is reused.
+    /// The two are interchangeable: every model reads a workload only
+    /// through those fields.
+    fn compute(w: &WorkSpec, workloads: &mut Vec<Workload>) -> Op {
+        let same = |x: &Workload| {
+            let (a, b) = (&x.profile, &w.workload.profile);
+            x.name == w.workload.name
+                && x.stream == w.workload.stream
+                && a.ipc_st.to_bits() == b.ipc_st.to_bits()
+                && a.unit_pressure.to_bits() == b.unit_pressure.to_bits()
+                && a.mem_intensity.to_bits() == b.mem_intensity.to_bits()
+        };
+        // Newest first: consecutive compute ops mostly repeat a workload.
+        let workload = workloads.iter().rposition(same).unwrap_or_else(|| {
+            workloads.push(w.workload.clone());
+            workloads.len() - 1
+        });
+        Op::Compute {
+            workload: u32::try_from(workload).expect("fewer than 2^32 workloads"),
+            instructions: w.instructions,
+        }
+    }
+
+    /// The [`FlatOp`] this op stands for (deadlock reports render it).
+    fn flat(self, workloads: &[Workload]) -> FlatOp {
+        match self {
+            Op::Compute {
+                workload,
+                instructions,
+            } => FlatOp::Compute(WorkSpec::new(
+                workloads[workload as usize].clone(),
+                instructions,
+            )),
+            Op::Send { to, tag, bytes } => FlatOp::Send { to, tag, bytes },
+            Op::Recv { from, tag } => FlatOp::Recv { from, tag },
+            Op::Isend { to, tag, bytes } => FlatOp::Isend { to, tag, bytes },
+            Op::Irecv { from, tag } => FlatOp::Irecv { from, tag },
+            Op::WaitAll => FlatOp::WaitAll,
+            Op::Barrier => FlatOp::Barrier,
+            Op::AllReduce { bytes } => FlatOp::AllReduce { bytes },
+            Op::Bcast { root, bytes } => FlatOp::Bcast { root, bytes },
+            Op::Reduce { root, bytes } => FlatOp::Reduce { root, bytes },
+            Op::Phase(p) => FlatOp::Phase(p),
+        }
+    }
+
+    /// The peer or root rank the op names, if any.
+    fn target(self) -> Option<Rank> {
+        match self {
+            Op::Send { to, .. } | Op::Isend { to, .. } => Some(to),
+            Op::Recv { from, .. } | Op::Irecv { from, .. } => Some(from),
+            Op::Bcast { root, .. } | Op::Reduce { root, .. } => Some(root),
+            _ => None,
+        }
+    }
+
+    /// The collective epoch the op joins, if any.
+    fn epoch_kind(self) -> Option<EpochKind> {
+        match self {
+            Op::Barrier | Op::AllReduce { .. } => Some(EpochKind::AllToAll),
+            Op::Bcast { root, .. } => Some(EpochKind::FromRoot { root }),
+            Op::Reduce { root, .. } => Some(EpochKind::ToRoot { root }),
+            _ => None,
+        }
+    }
+}
+
+/// The synchronization-epoch signature of a rank's ops: the [`EpochKind`]
+/// each collective call joins, in program order. Every rank must produce
+/// the same signature for the run to terminate, so [`Engine::try_new`]
+/// rejects mismatches up front.
+fn collective_signature(ops: &[Op]) -> Vec<EpochKind> {
+    ops.iter().filter_map(|op| op.epoch_kind()).collect()
+}
+
 /// The system simulator.
 pub struct Engine {
     machine: Machine,
@@ -548,7 +668,11 @@ pub struct Engine {
     event_jump: bool,
     max_cycles: Cycles,
     n_ranks: usize,
-    ops: Vec<Vec<FlatOp>>,
+    /// Every distinct workload the programs compute, in first-use order;
+    /// [`Op::Compute`] names one by index. Built with `ops` from the
+    /// programs, so not part of [`EngineState`].
+    workloads: Vec<Workload>,
+    ops: Vec<Vec<Op>>,
     pc: Vec<usize>,
     state: Vec<RankState>,
     /// Dispatch worklist: ranks transitioned to [`RankState::Ready`] and
@@ -621,6 +745,7 @@ impl Engine {
         }
         let mut builders = Vec::with_capacity(n);
         let mut ops = Vec::with_capacity(n);
+        let mut workloads = Vec::new();
         for (rank, prog) in programs.iter().enumerate() {
             let name = prog
                 .name
@@ -634,19 +759,15 @@ impl Engine {
                     source,
                 })?;
             builders.push(Some(TimelineBuilder::new(rank, name, 0, ProcState::Idle)));
-            ops.push(flatten(prog, rank));
+            let mut rank_ops = Vec::new();
+            for_each_op(prog, rank, |op| rank_ops.push(Op::new(op, &mut workloads)));
+            ops.push(rank_ops);
         }
         // Every op's peer/root must name an existing rank — checked here
         // so comm/epoch state can index by rank unconditionally.
         for (rank, rank_ops) in ops.iter().enumerate() {
             for (op_index, op) in rank_ops.iter().enumerate() {
-                let target = match op {
-                    FlatOp::Send { to, .. } | FlatOp::Isend { to, .. } => Some(*to),
-                    FlatOp::Recv { from, .. } | FlatOp::Irecv { from, .. } => Some(*from),
-                    FlatOp::Bcast { root, .. } | FlatOp::Reduce { root, .. } => Some(*root),
-                    _ => None,
-                };
-                if let Some(target) = target {
+                if let Some(target) = op.target() {
                     if target >= n {
                         return Err(SimError::InvalidRank {
                             rank,
@@ -696,6 +817,7 @@ impl Engine {
             event_jump,
             max_cycles: cfg.max_cycles,
             n_ranks: n,
+            workloads,
             ops,
             pc: vec![0; n],
             state: vec![RankState::Ready; n],
@@ -1013,7 +1135,7 @@ impl Engine {
     fn dispatch_one(&mut self, rank: Rank, observer: &mut dyn Observer) {
         let now = self.machine.now();
         loop {
-            let Some(op) = self.ops[rank].get(self.pc[rank]).cloned() else {
+            let Some(&op) = self.ops[rank].get(self.pc[rank]) else {
                 self.state[rank] = RankState::Done;
                 self.machine.exit(rank).expect("rank exists");
                 self.trace_enter(rank, ProcState::Idle);
@@ -1023,23 +1145,25 @@ impl Engine {
             };
             self.pc[rank] += 1;
             match op {
-                FlatOp::Phase(p) => {
+                Op::Phase(p) => {
                     self.phase[rank] = p;
                     continue; // zero-time op
                 }
-                FlatOp::Compute(ws) => {
-                    if ws.instructions == 0 {
+                Op::Compute {
+                    workload,
+                    instructions,
+                } => {
+                    if instructions == 0 {
                         continue;
                     }
-                    let target = self.machine.retired(rank) + ws.instructions;
-                    self.machine
-                        .run_workload(rank, ws.workload)
-                        .expect("rank exists");
+                    let target = self.machine.retired(rank) + instructions;
+                    let w = self.workloads[workload as usize].clone();
+                    self.machine.run_workload(rank, w).expect("rank exists");
                     self.state[rank] = RankState::Computing { target };
                     self.trace_enter(rank, self.phase[rank].compute_state());
                     return;
                 }
-                FlatOp::Isend { to, tag, bytes } => {
+                Op::Isend { to, tag, bytes } => {
                     let until = now + self.cfg_latency.sw_overhead;
                     let arrival = until + self.latency_between(rank, to, bytes);
                     self.comm.post_send(Message {
@@ -1061,7 +1185,7 @@ impl Engine {
                     self.trace_enter(rank, ProcState::Comm);
                     return;
                 }
-                FlatOp::Send { to, tag, bytes } => {
+                Op::Send { to, tag, bytes } => {
                     let until = now + self.cfg_latency.sw_overhead;
                     let arrival = until + self.latency_between(rank, to, bytes);
                     self.comm.post_send(Message {
@@ -1082,14 +1206,14 @@ impl Engine {
                     self.trace_enter(rank, ProcState::Comm);
                     return;
                 }
-                FlatOp::Irecv { from, tag } => {
+                Op::Irecv { from, tag } => {
                     self.comm.post_irecv(rank, from, tag, now);
                     let until = now + self.cfg_latency.sw_overhead;
                     self.state[rank] = RankState::CommBusy { until };
                     self.trace_enter(rank, ProcState::Comm);
                     return;
                 }
-                FlatOp::Recv { from, tag } => {
+                Op::Recv { from, tag } => {
                     let hidx = self.comm.post_irecv(rank, from, tag, now);
                     if self
                         .comm
@@ -1102,7 +1226,7 @@ impl Engine {
                     self.trace_enter(rank, ProcState::Sync);
                     return;
                 }
-                FlatOp::WaitAll => {
+                Op::WaitAll => {
                     if self.comm.all_done(rank, now) {
                         self.comm.clear_handles(rank);
                         continue;
@@ -1111,7 +1235,7 @@ impl Engine {
                     self.trace_enter(rank, ProcState::Sync);
                     return;
                 }
-                FlatOp::Barrier => {
+                Op::Barrier => {
                     self.join_epoch(
                         rank,
                         self.cfg_latency.barrier_cost,
@@ -1120,18 +1244,18 @@ impl Engine {
                     );
                     return;
                 }
-                FlatOp::AllReduce { bytes } => {
+                Op::AllReduce { bytes } => {
                     let cost = self.cfg_latency.allreduce_cost(self.n_ranks, bytes);
                     self.join_epoch(rank, cost, EpochKind::AllToAll, observer);
                     return;
                 }
-                FlatOp::Bcast { root, bytes } => {
+                Op::Bcast { root, bytes } => {
                     // Tree depth at chip latency, like allreduce.
                     let cost = self.cfg_latency.allreduce_cost(self.n_ranks, bytes);
                     self.join_epoch(rank, cost, EpochKind::FromRoot { root }, observer);
                     return;
                 }
-                FlatOp::Reduce { root, bytes } => {
+                Op::Reduce { root, bytes } => {
                     let cost = self.cfg_latency.allreduce_cost(self.n_ranks, bytes);
                     self.join_epoch(rank, cost, EpochKind::ToRoot { root }, observer);
                     return;
@@ -1289,7 +1413,7 @@ impl Engine {
                 total_ops: self.ops[rank].len(),
                 next_op: self.ops[rank]
                     .get(self.pc[rank])
-                    .map(|op| format!("{op:?}")),
+                    .map(|op| format!("{:?}", op.flat(&self.workloads))),
                 waiting_on: waits[rank].clone(),
             })
             .collect();
@@ -1763,6 +1887,28 @@ mod tests {
         cfg.placement = vec![CtxAddr::from_cpu(0), CtxAddr::from_cpu(0)];
         let err = build_err(&[compute_prog(10), compute_prog(10)], cfg);
         assert!(matches!(err, SimError::Placement { rank: 1, .. }));
+    }
+
+    #[test]
+    fn collective_signature_distinguishes_kinds() {
+        let p = ProgramBuilder::new()
+            .barrier()
+            .allreduce(8)
+            .bcast(1, 64)
+            .reduce(2, 64)
+            .build();
+        let mut workloads = Vec::new();
+        let mut ops = Vec::new();
+        crate::interp::for_each_op(&p, 0, |op| ops.push(Op::new(op, &mut workloads)));
+        assert_eq!(
+            collective_signature(&ops),
+            vec![
+                EpochKind::AllToAll,
+                EpochKind::AllToAll,
+                EpochKind::FromRoot { root: 1 },
+                EpochKind::ToRoot { root: 2 },
+            ]
+        );
     }
 
     #[test]

@@ -301,22 +301,6 @@ fn flatten_symbolic_into(body: &[Stmt], path: &mut Vec<PathSeg>, out: &mut Vec<S
     }
 }
 
-/// The synchronization-epoch signature of a flat op stream: the
-/// [`EpochKind`] each collective call joins, in program order. Every rank
-/// must produce the same signature for the run to terminate — the engine
-/// rejects mismatches up front ([`crate::engine::SimError`]).
-pub fn collective_signature(ops: &[FlatOp]) -> Vec<crate::collective::EpochKind> {
-    use crate::collective::EpochKind;
-    ops.iter()
-        .filter_map(|o| match o {
-            FlatOp::Barrier | FlatOp::AllReduce { .. } => Some(EpochKind::AllToAll),
-            FlatOp::Bcast { root, .. } => Some(EpochKind::FromRoot { root: *root }),
-            FlatOp::Reduce { root, .. } => Some(EpochKind::ToRoot { root: *root }),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Number of global synchronization epochs (barriers + allreduces) a flat
 /// program participates in — every rank must agree on this for the run to
 /// terminate; the engine validates it up front.
@@ -519,26 +503,5 @@ mod tests {
         let sym = flatten_symbolic(&p);
         assert_eq!(sym.len(), 1);
         assert_eq!(sym[0].path, vec![PathSeg::Stmt(1)]);
-    }
-
-    #[test]
-    fn collective_signature_distinguishes_kinds() {
-        use crate::collective::EpochKind;
-        let p = ProgramBuilder::new()
-            .barrier()
-            .allreduce(8)
-            .bcast(1, 64)
-            .reduce(2, 64)
-            .build();
-        let sig = collective_signature(&flatten(&p, 0));
-        assert_eq!(
-            sig,
-            vec![
-                EpochKind::AllToAll,
-                EpochKind::AllToAll,
-                EpochKind::FromRoot { root: 1 },
-                EpochKind::ToRoot { root: 2 },
-            ]
-        );
     }
 }

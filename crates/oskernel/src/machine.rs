@@ -15,13 +15,13 @@
 //! and exiting handler windows for their own contexts, and accumulating
 //! per-context deltas into scratch — and the coordinator merges the
 //! accounting into the process table at the single merge point at the
-//! end. While a noise window is active on a context, the pinned process
+//! end. A noise-free epoch stepped sequentially skips the split: each
+//! core advances once and its contexts book straight into their PCBs.
+//! While a noise window is active on a context, the pinned process
 //! is suspended (it retires nothing and accumulates `interrupt_cycles`),
 //! and — on a vanilla kernel — the context's hardware priority is
 //! clobbered to MEDIUM and *stays there* afterwards, which is precisely
 //! why the paper had to patch the kernel (Section VI).
-
-use std::collections::BTreeMap;
 
 use crate::kernel::KernelConfig;
 use crate::noise::{BoundaryCalendar, NoiseError, NoiseSource};
@@ -101,6 +101,23 @@ struct CtxAcct {
     irq: Cycles,
 }
 
+impl CtxAcct {
+    fn add(&mut self, d: CtxAcct) {
+        self.retired += d.retired;
+        self.busy += d.busy;
+        self.spin += d.spin;
+        self.irq += d.irq;
+    }
+
+    /// Fold the deltas into a PCB.
+    fn credit(self, pcb: &mut Pcb) {
+        pcb.retired += self.retired;
+        pcb.busy_cycles += self.busy;
+        pcb.spin_cycles += self.spin;
+        pcb.interrupt_cycles += self.irq;
+    }
+}
+
 /// Per-context bookkeeping.
 #[derive(Default)]
 struct CtxState {
@@ -113,6 +130,90 @@ struct CtxState {
     /// False while spinning in an MPI wait — the spin loop burns decode
     /// slots but accomplishes nothing.
     counting: bool,
+    /// How a segment books into the owner's PCB: [`CtxState::mode_for`]
+    /// of the fields above and the owner's run state, refreshed by every
+    /// change to either (install, stop, migrate, swap, spawn, handler
+    /// flips, restore), so no epoch consults the process table for it.
+    mode: CtxMode,
+}
+
+impl CtxState {
+    /// The accounting decision under the current handler and installation
+    /// state, for an owner that does (`Some(true)`) or does not run, or
+    /// for no owner (`None`) — the exact branch structure of the
+    /// reference walk ([`Shard::advance_epoch_reference`]).
+    fn mode_for(&self, owner_running: Option<bool>) -> CtxMode {
+        let Some(running) = owner_running else {
+            return CtxMode::OFF;
+        };
+        CtxMode {
+            count: self.counting,
+            bucket: if self.in_handler && running {
+                Bucket::Irq
+            } else if self.installed.is_some() {
+                if self.counting {
+                    Bucket::Busy
+                } else {
+                    Bucket::Spin
+                }
+            } else {
+                Bucket::Off
+            },
+        }
+    }
+
+    fn refresh(&mut self, owner_running: Option<bool>) {
+        self.mode = self.mode_for(owner_running);
+    }
+}
+
+/// The process table: PCBs in ascending pid order. A lookup indexes
+/// directly when the pid equals its position (the engine's ranks are
+/// pids `0..n`) and binary-searches otherwise, so no pid value costs
+/// more than `O(log n)` or any memory.
+#[derive(Default)]
+struct ProcTable(Vec<Pcb>);
+
+impl ProcTable {
+    fn index(&self, pid: usize) -> Option<usize> {
+        match self.0.get(pid) {
+            Some(p) if p.pid == pid => Some(pid),
+            _ => self.0.binary_search_by_key(&pid, |p| p.pid).ok(),
+        }
+    }
+
+    fn get(&self, pid: usize) -> Option<&Pcb> {
+        self.index(pid).map(|i| &self.0[i])
+    }
+
+    fn get_mut(&mut self, pid: usize) -> Option<&mut Pcb> {
+        let i = self.index(pid)?;
+        Some(&mut self.0[i])
+    }
+
+    fn contains(&self, pid: usize) -> bool {
+        self.index(pid).is_some()
+    }
+
+    /// Insert in pid order; false (and no change) when the pid exists.
+    fn insert(&mut self, pcb: Pcb) -> bool {
+        match self.0.binary_search_by_key(&pcb.pid, |p| p.pid) {
+            Ok(_) => false,
+            Err(i) => {
+                self.0.insert(i, pcb);
+                true
+            }
+        }
+    }
+
+    /// Does the process run? `None` when the context has no owner; the
+    /// argument [`CtxState::refresh`] takes.
+    fn owner_running(&self, owner: Option<usize>) -> Option<bool> {
+        owner.map(|pid| {
+            self.get(pid)
+                .is_some_and(|p| p.state == ProcRunState::Running)
+        })
+    }
 }
 
 /// What a process does while blocked in an MPI call (Section VI's
@@ -183,7 +284,7 @@ pub enum Segmentation {
 pub struct Machine {
     cores: Vec<Box<dyn CoreModel>>,
     kernel: KernelConfig,
-    procs: BTreeMap<usize, Pcb>,
+    procs: ProcTable,
     /// `ctx_owner[core][thread] = pid`.
     ctx_owner: Vec<[Option<usize>; 2]>,
     ctx_state: Vec<[CtxState; 2]>,
@@ -238,7 +339,7 @@ impl Machine {
         let mut m = Machine {
             cores,
             kernel,
-            procs: BTreeMap::new(),
+            procs: ProcTable::default(),
             ctx_owner: (0..n).map(|_| [None, None]).collect(),
             ctx_state: (0..n)
                 .map(|_| [CtxState::default(), CtxState::default()])
@@ -358,31 +459,34 @@ impl Machine {
         if affinity.core >= self.cores.len() {
             return Err(MachineError::NoSuchContext);
         }
-        if self.procs.contains_key(&pid) {
+        if self.procs.contains(pid) {
             return Err(MachineError::DuplicatePid);
         }
-        let slot = &mut self.ctx_owner[affinity.core][affinity.thread.index()];
-        if slot.is_some() {
+        let (core, ti) = (affinity.core, affinity.thread.index());
+        if self.ctx_owner[core][ti].is_some() {
             return Err(MachineError::ContextBusy);
         }
-        *slot = Some(pid);
-        self.procs.insert(pid, Pcb::new(pid, name, affinity));
+        self.ctx_owner[core][ti] = Some(pid);
+        let pcb = Pcb::new(pid, name, affinity);
+        let running = pcb.state == ProcRunState::Running;
+        self.procs.insert(pcb);
+        self.ctx_state[core][ti].refresh(Some(running));
         Ok(())
     }
 
     /// The process control block for `pid`.
     pub fn pcb(&self, pid: usize) -> Option<&Pcb> {
-        self.procs.get(&pid)
+        self.procs.get(pid)
     }
 
     /// All pids, ascending.
     pub fn pids(&self) -> Vec<usize> {
-        self.procs.keys().copied().collect()
+        self.procs.0.iter().map(|p| p.pid).collect()
     }
 
     /// Total instructions retired on behalf of `pid`.
     pub fn retired(&self, pid: usize) -> u64 {
-        self.procs.get(&pid).map_or(0, |p| p.retired)
+        self.procs.get(pid).map_or(0, |p| p.retired)
     }
 
     /// The hardware priority currently carried by a context (what the
@@ -414,7 +518,7 @@ impl Machine {
     fn apply_wish(&mut self, pid: usize, p: HwPriority) -> Result<(), PriorityError> {
         let pcb = self
             .procs
-            .get_mut(&pid)
+            .get_mut(pid)
             .ok_or(PriorityError::NoSuchProcess)?;
         pcb.hmt_priority = p;
         let addr = pcb.affinity;
@@ -461,7 +565,7 @@ impl Machine {
                     level,
                     SetVia::OrNop(PrivilegeLevel::User),
                 ) {
-                    let addr = self.procs[&pid].affinity;
+                    let addr = self.procs.get(pid).expect("installed above").affinity;
                     if !self.ctx_state[addr.core][addr.thread.index()].in_handler {
                         self.cores[addr.core].set_priority(addr.thread, p);
                     }
@@ -481,16 +585,14 @@ impl Machine {
     }
 
     fn install(&mut self, pid: usize, w: Workload, counting: bool) -> Result<(), MachineError> {
-        let pcb = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(MachineError::NoSuchProcess)?;
+        let pcb = self.procs.get_mut(pid).ok_or(MachineError::NoSuchProcess)?;
         pcb.state = ProcRunState::Running;
         let addr = pcb.affinity;
         let wish = pcb.hmt_priority;
         let st = &mut self.ctx_state[addr.core][addr.thread.index()];
         st.installed = Some(w.clone());
         st.counting = counting;
+        st.refresh(Some(true));
         if !st.in_handler {
             self.cores[addr.core].assign(addr.thread, w);
             self.cores[addr.core].set_priority(addr.thread, wish);
@@ -511,15 +613,13 @@ impl Machine {
     }
 
     fn stop(&mut self, pid: usize, state: ProcRunState) -> Result<(), MachineError> {
-        let pcb = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(MachineError::NoSuchProcess)?;
+        let pcb = self.procs.get_mut(pid).ok_or(MachineError::NoSuchProcess)?;
         pcb.state = state;
         let addr = pcb.affinity;
         let st = &mut self.ctx_state[addr.core][addr.thread.index()];
         st.installed = None;
         st.counting = false;
+        st.refresh(Some(false));
         if !st.in_handler {
             self.cores[addr.core].clear(addr.thread);
             self.cores[addr.core].set_priority(addr.thread, self.kernel.idle_priority);
@@ -531,13 +631,15 @@ impl Machine {
     /// in-handler flag, which belongs to the context, not the process) and
     /// the process's installed workload/counting state is returned.
     fn detach(&mut self, pid: usize) -> (CtxAddr, Option<Workload>, bool) {
-        let from = self.procs[&pid].affinity;
+        let from = self.procs.get(pid).expect("pid exists").affinity;
         let (fi, ft) = (from.core, from.thread.index());
         self.ctx_owner[fi][ft] = None;
-        let installed = self.ctx_state[fi][ft].installed.take();
-        let counting = self.ctx_state[fi][ft].counting;
-        self.ctx_state[fi][ft].counting = false;
-        if !self.ctx_state[fi][ft].in_handler {
+        let st = &mut self.ctx_state[fi][ft];
+        let installed = st.installed.take();
+        let counting = st.counting;
+        st.counting = false;
+        st.refresh(None);
+        if !st.in_handler {
             self.cores[fi].clear(from.thread);
             self.cores[fi].set_priority(from.thread, self.kernel.idle_priority);
         }
@@ -548,13 +650,14 @@ impl Machine {
     fn attach(&mut self, pid: usize, to: CtxAddr, installed: Option<Workload>, counting: bool) {
         debug_assert!(self.ctx_owner[to.core][to.thread.index()].is_none());
         self.ctx_owner[to.core][to.thread.index()] = Some(pid);
-        let pcb = self.procs.get_mut(&pid).expect("pid exists");
+        let pcb = self.procs.get_mut(pid).expect("pid exists");
         pcb.affinity = to;
         let wish = pcb.hmt_priority;
         let running = pcb.state == ProcRunState::Running;
         let dst = &mut self.ctx_state[to.core][to.thread.index()];
         dst.installed = installed;
         dst.counting = counting;
+        dst.refresh(Some(running));
         if !dst.in_handler {
             match (dst.installed.clone(), running) {
                 (Some(w), true) => {
@@ -577,10 +680,10 @@ impl Machine {
         if to.core >= self.cores.len() {
             return Err(MachineError::NoSuchContext);
         }
-        if !self.procs.contains_key(&pid) {
+        let Some(pcb) = self.procs.get(pid) else {
             return Err(MachineError::NoSuchProcess);
-        }
-        if self.procs[&pid].affinity == to {
+        };
+        if pcb.affinity == to {
             return Ok(());
         }
         if self.ctx_owner[to.core][to.thread.index()].is_some() {
@@ -593,7 +696,7 @@ impl Machine {
 
     /// Swap the contexts of two processes (atomic pairwise migration).
     pub fn swap(&mut self, pid_a: usize, pid_b: usize) -> Result<(), MachineError> {
-        if !self.procs.contains_key(&pid_a) || !self.procs.contains_key(&pid_b) {
+        if !self.procs.contains(pid_a) || !self.procs.contains(pid_b) {
             return Err(MachineError::NoSuchProcess);
         }
         if pid_a == pid_b {
@@ -613,7 +716,7 @@ impl Machine {
     /// every target at each step it does not walk itself, and re-asks it
     /// of the targets on a core whose handler state flips during a walk.
     pub fn cycles_to_retire(&self, pid: usize, n: u64) -> Option<Cycles> {
-        let pcb = self.procs.get(&pid)?;
+        let pcb = self.procs.get(pid)?;
         if pcb.state != ProcRunState::Running {
             return None;
         }
@@ -633,7 +736,7 @@ impl Machine {
         let mut busy = 0;
         let mut spin = 0;
         let mut irq = 0;
-        for p in self.procs.values() {
+        for p in &self.procs.0 {
             busy += p.busy_cycles;
             spin += p.spin_cycles;
             irq += p.interrupt_cycles;
@@ -723,7 +826,7 @@ impl Machine {
             w.goal = [None; 2];
         }
         for &(pid, goal) in targets {
-            if let Some(pcb) = self.procs.get(&pid) {
+            if let Some(pcb) = self.procs.get(pid) {
                 let a = pcb.affinity;
                 self.walk[a.core].goal[a.thread.index()] = Some(goal);
             }
@@ -782,19 +885,77 @@ impl Machine {
     ///
     /// Shards never read or write another shard's state, and the shard
     /// plan depends only on the core topology — never on the thread
-    /// count — so the result is bit-identical at any parallelism,
-    /// including the sequential path (which steps the same shards in
-    /// index order). The plan is computed once, in [`Machine::new`]. With
-    /// a runner attached ([`Machine::set_parallelism`]) the whole epoch
-    /// costs one dispatch and one merge wait, however many noise segments
-    /// it contains. Without one, a noise-free epoch allocates nothing, and
-    /// a noisy epoch that starts where the previous one ended allocates
-    /// only the workload clone each handler exit re-installs: every
-    /// conflict domain keeps its noise calendar and scratch across epochs
-    /// (see [`DomainCalendar`]).
+    /// count — so the result is bit-identical at any parallelism. The
+    /// sequential path steps the same shards in index order, except on a
+    /// quiet epoch — no noise source, no open handler window, calendar
+    /// segmentation — where it skips the split: each core advances once by
+    /// `dt`, in index order, and each owned context books its delta into
+    /// its PCB under its cached accounting mode. That is what every
+    /// shard's quiet domain does, minus the scratch: the deltas are sums
+    /// of integers, so adding them in place instead of at the merge point
+    /// changes no bit. The plan is computed once, in [`Machine::new`].
+    /// With a runner attached ([`Machine::set_parallelism`]) the whole
+    /// epoch costs one dispatch and one merge wait, however many noise
+    /// segments it contains. Without one, an epoch allocates nothing once
+    /// the machine is warm: every conflict domain keeps its noise calendar
+    /// and scratch across epochs (see [`DomainCalendar`]).
     pub fn advance(&mut self, dt: Cycles) {
         let start = self.now;
         let end = start + dt;
+        let use_runner =
+            matches!(&self.runner, Some(r) if r.threads() > 1) && self.shard_bounds.len() > 2;
+        if !use_runner && self.quiet() {
+            self.advance_quiet(dt);
+        } else {
+            self.advance_shards(start, end, use_runner);
+            self.fold_accounting();
+        }
+        self.now = end;
+    }
+
+    /// Can the next epoch take the quiet path of [`Machine::advance`]? No
+    /// noise source can cut it or flip a handler, and no handler window is
+    /// left to close (one restored from a noisy snapshot would be).
+    /// [`Segmentation::Reference`] keeps its per-segment walk regardless:
+    /// it is the oracle of this path.
+    fn quiet(&self) -> bool {
+        self.noise.is_empty()
+            && self.segmentation == Segmentation::Calendar
+            && !self.ctx_state.iter().flatten().any(|s| s.in_handler)
+    }
+
+    /// The quiet epoch of [`Machine::advance`]: one `CoreModel::advance`
+    /// per core, booked straight into the owners' PCBs.
+    fn advance_quiet(&mut self, dt: Cycles) {
+        let Machine {
+            cores,
+            procs,
+            ctx_owner,
+            ctx_state,
+            ..
+        } = self;
+        for ((core, owners), states) in cores.iter_mut().zip(ctx_owner.iter()).zip(ctx_state.iter())
+        {
+            let retired = core.advance(dt);
+            for ti in 0..2 {
+                let Some(pid) = owners[ti] else {
+                    continue;
+                };
+                let pcb = procs.get_mut(pid).expect("owner pid exists");
+                let st = &states[ti];
+                debug_assert_eq!(
+                    st.mode,
+                    st.mode_for(Some(pcb.state == ProcRunState::Running)),
+                    "stale accounting mode"
+                );
+                st.mode.delta(retired[ti], dt).credit(pcb);
+            }
+        }
+    }
+
+    /// Step every shard from `start` to `end`, on the runner or in index
+    /// order, accumulating into `acct_scratch`.
+    fn advance_shards(&mut self, start: Cycles, end: Cycles, use_runner: bool) {
         let mode = self.segmentation;
         let Machine {
             cores,
@@ -812,26 +973,25 @@ impl Machine {
         } = self;
         acct_scratch.clear();
         acct_scratch.resize(cores.len(), [CtxAcct::default(); 2]);
-
-        let use_runner = matches!(runner, Some(r) if r.threads() > 1) && bounds.len() > 2;
-        if use_runner {
-            let runner = runner.as_mut().expect("checked above");
-            let mut shards: Vec<Shard<'_>> = Vec::with_capacity(bounds.len() - 1);
-            let mut cs: &mut [Box<dyn CoreModel>] = cores;
-            let mut ss: &mut [[CtxState; 2]] = ctx_state;
-            let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
-            let mut doms: &mut [DomainCalendar] = domains;
-            let mut owners: &[[Option<usize>; 2]] = ctx_owner;
-            let mut base = 0;
-            for w in bounds.windows(2) {
+        let (procs, noise, noise_index, kernel) = (&*procs, &noise[..], &noise_index[..], &*kernel);
+        let mut shards = bounds.windows(2).scan(
+            (
+                &mut cores[..],
+                &mut ctx_state[..],
+                &mut acct_scratch[..],
+                &mut domains[..],
+                &ctx_owner[..],
+            ),
+            |(cs, ss, accts, doms, owners), w| {
                 let len = w[1] - w[0];
-                let (ch, cr) = cs.split_at_mut(len);
-                let (sh, sr) = ss.split_at_mut(len);
-                let (ah, ar) = accts.split_at_mut(len);
-                let (dh, dr) = doms.split_at_mut(len);
+                let (ch, cr) = std::mem::take(cs).split_at_mut(len);
+                let (sh, sr) = std::mem::take(ss).split_at_mut(len);
+                let (ah, ar) = std::mem::take(accts).split_at_mut(len);
+                let (dh, dr) = std::mem::take(doms).split_at_mut(len);
                 let (oh, or) = owners.split_at(len);
-                shards.push(Shard {
-                    base,
+                (*cs, *ss, *accts, *doms, *owners) = (cr, sr, ar, dr, or);
+                Some(Shard {
+                    base: w[0],
                     cores: ch,
                     ctx_state: sh,
                     acct: ah,
@@ -842,69 +1002,28 @@ impl Machine {
                     noise_index,
                     kernel,
                     mode,
-                });
-                cs = cr;
-                ss = sr;
-                accts = ar;
-                doms = dr;
-                owners = or;
-                base += len;
-            }
+                })
+            },
+        );
+        if use_runner {
+            let runner = runner.as_mut().expect("checked by the caller");
+            let shards: Vec<Shard<'_>> = shards.collect();
             runner.run_epoch(shards, |_, mut shard| shard.advance_epoch(start, end));
         } else {
-            let mut base = 0;
-            let mut cs: &mut [Box<dyn CoreModel>] = cores;
-            let mut ss: &mut [[CtxState; 2]] = ctx_state;
-            let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
-            let mut doms: &mut [DomainCalendar] = domains;
-            let mut owners: &[[Option<usize>; 2]] = ctx_owner;
-            for w in bounds.windows(2) {
-                let len = w[1] - w[0];
-                let (ch, cr) = cs.split_at_mut(len);
-                let (sh, sr) = ss.split_at_mut(len);
-                let (ah, ar) = accts.split_at_mut(len);
-                let (dh, dr) = doms.split_at_mut(len);
-                let (oh, or) = owners.split_at(len);
-                let mut shard = Shard {
-                    base,
-                    cores: ch,
-                    ctx_state: sh,
-                    acct: ah,
-                    domains: dh,
-                    ctx_owner: oh,
-                    procs,
-                    noise,
-                    noise_index,
-                    kernel,
-                    mode,
-                };
+            for mut shard in &mut shards {
                 shard.advance_epoch(start, end);
-                cs = cr;
-                ss = sr;
-                accts = ar;
-                doms = dr;
-                owners = or;
-                base += len;
             }
         }
-
-        self.fold_accounting();
-        self.now = end;
     }
 
     /// The merge point: fold the per-context deltas of the step just taken
     /// into the PCBs, in core order (deterministic regardless of how the
     /// step was scheduled).
     fn fold_accounting(&mut self) {
-        for (core_idx, pair) in self.acct_scratch.iter().enumerate() {
-            for t in ThreadId::BOTH {
-                if let Some(pid) = self.ctx_owner[core_idx][t.index()] {
-                    let a = pair[t.index()];
-                    let pcb = self.procs.get_mut(&pid).expect("owner pid exists");
-                    pcb.retired += a.retired;
-                    pcb.busy_cycles += a.busy;
-                    pcb.spin_cycles += a.spin;
-                    pcb.interrupt_cycles += a.irq;
+        for (owners, pair) in self.ctx_owner.iter().zip(&self.acct_scratch) {
+            for (owner, a) in owners.iter().zip(pair) {
+                if let Some(pid) = *owner {
+                    a.credit(self.procs.get_mut(pid).expect("owner pid exists"));
                 }
             }
         }
@@ -968,7 +1087,7 @@ impl Machine {
         MachineState {
             now: self.now,
             cores: self.cores.iter().map(|c| c.save_state()).collect(),
-            procs: self.procs.values().cloned().collect(),
+            procs: self.procs.0.clone(),
             ctx_owner: self.ctx_owner.clone(),
             ctx_state: self
                 .ctx_state
@@ -998,7 +1117,7 @@ impl Machine {
                 s.ctx_state.len()
             ));
         }
-        let mut procs = BTreeMap::new();
+        let mut procs = ProcTable::default();
         for pcb in &s.procs {
             if pcb.affinity.core >= n {
                 return Err(format!(
@@ -1006,13 +1125,13 @@ impl Machine {
                     pcb.pid, pcb.affinity.core
                 ));
             }
-            if procs.insert(pcb.pid, pcb.clone()).is_some() {
+            if !procs.insert(pcb.clone()) {
                 return Err(format!("duplicate pid {} in snapshot", pcb.pid));
             }
         }
         for owners in &s.ctx_owner {
-            for pid in owners.iter().flatten() {
-                if !procs.contains_key(pid) {
+            for &pid in owners.iter().flatten() {
+                if !procs.contains(pid) {
                     return Err(format!("context owner pid {pid} not in process table"));
                 }
             }
@@ -1020,19 +1139,25 @@ impl Machine {
         for (core, cs) in self.cores.iter_mut().zip(&s.cores) {
             core.restore_state(cs)?;
         }
-        self.procs = procs;
-        self.ctx_owner = s.ctx_owner.clone();
         self.ctx_state = s
             .ctx_state
             .iter()
-            .map(|pair| {
-                [0, 1].map(|i| CtxState {
-                    installed: pair[i].installed.clone(),
-                    in_handler: pair[i].in_handler,
-                    counting: pair[i].counting,
+            .zip(&s.ctx_owner)
+            .map(|(pair, owners)| {
+                [0, 1].map(|i| {
+                    let mut st = CtxState {
+                        installed: pair[i].installed.clone(),
+                        in_handler: pair[i].in_handler,
+                        counting: pair[i].counting,
+                        mode: CtxMode::OFF,
+                    };
+                    st.refresh(procs.owner_running(owners[i]));
+                    st
                 })
             })
             .collect();
+        self.procs = procs;
+        self.ctx_owner = s.ctx_owner.clone();
         self.now = s.now;
         self.reset_calendars();
         Ok(())
@@ -1051,8 +1176,6 @@ impl Machine {
 /// every cursor strictly after `end`, so a carried cursor equals
 /// `cursor_at(end)`. After that drain `counts[slot]` is the number of
 /// the slot's sources active at `end` — what a rebuild at `end` counts.
-/// `running` and `mode` are rewritten for every slot at epoch start and
-/// only need sizing.
 ///
 /// [`Machine::try_add_noise`] clears `at`: a new source changes the
 /// calendar without moving the time. [`Machine::restore_state`] and
@@ -1066,10 +1189,6 @@ struct DomainCalendar {
     cal: BoundaryCalendar,
     /// Active sources per domain context slot (`(core - d0) * 2 + thread`).
     counts: Vec<u32>,
-    /// Per slot: does the owner process run (fixed within an epoch)?
-    running: Vec<bool>,
-    /// Per slot: the cached accounting decision.
-    mode: Vec<CtxMode>,
     /// The time the calendar is positioned at; `None` forces a rebuild.
     at: Option<Cycles>,
 }
@@ -1102,7 +1221,7 @@ struct Shard<'a> {
     /// Per-core calendar slots; a domain uses the slot of its first core.
     domains: &'a mut [DomainCalendar],
     ctx_owner: &'a [[Option<usize>; 2]],
-    procs: &'a BTreeMap<usize, Pcb>,
+    procs: &'a ProcTable,
     noise: &'a [NoiseSource],
     /// Global per-core source index (`noise_index[global core]`).
     noise_index: &'a [Vec<u32>],
@@ -1110,10 +1229,9 @@ struct Shard<'a> {
     mode: Segmentation,
 }
 
-/// Cached per-context accounting decision, recomputed only when the
-/// context's handler state flips (the reference re-derives it from the
-/// process table on every segment).
-#[derive(Clone, Copy)]
+/// A context's cached accounting decision ([`CtxState::mode`]; the
+/// reference re-derives it from the process table on every segment).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct CtxMode {
     /// Retired instructions count toward progress.
     count: bool,
@@ -1125,11 +1243,28 @@ impl CtxMode {
         count: false,
         bucket: Bucket::Off,
     };
+
+    /// The context's deltas for a `seg`-cycle segment in which its core
+    /// retired `retired` instructions on it.
+    fn delta(self, retired: u64, seg: Cycles) -> CtxAcct {
+        let mut d = CtxAcct::default();
+        if self.count {
+            d.retired = retired;
+        }
+        match self.bucket {
+            Bucket::Irq => d.irq = seg,
+            Bucket::Busy => d.busy = seg,
+            Bucket::Spin => d.spin = seg,
+            Bucket::Off => {}
+        }
+        d
+    }
 }
 
 /// Which PCB cycle counter a segment's length lands in.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Bucket {
+    #[default]
     Off,
     Irq,
     Busy,
@@ -1179,7 +1314,8 @@ impl Shard<'_> {
                         continue;
                     };
                     let st = &self.ctx_state[k][ti];
-                    let running = self.procs[&pid].state == ProcRunState::Running;
+                    let running = self.procs.get(pid).expect("owner pid exists").state
+                        == ProcRunState::Running;
                     let a = &mut self.acct[k][ti];
                     if st.counting {
                         a.retired += retired[ti];
@@ -1265,27 +1401,7 @@ impl Shard<'_> {
                     self.apply_handler_state(k, th, false);
                 }
             }
-            let seg = end - start;
-            for k in d0..d1 {
-                let modes = [0, 1].map(|ti| {
-                    let running = self.ctx_owner[k][ti]
-                        .is_some_and(|pid| self.procs[&pid].state == ProcRunState::Running);
-                    self.ctx_mode(k, ti, running)
-                });
-                let retired = self.cores[k].advance(seg);
-                for (ti, m) in modes.into_iter().enumerate() {
-                    let a = &mut self.acct[k][ti];
-                    if m.count {
-                        a.retired += retired[ti];
-                    }
-                    match m.bucket {
-                        Bucket::Irq => a.irq += seg,
-                        Bucket::Busy => a.busy += seg,
-                        Bucket::Spin => a.spin += seg,
-                        Bucket::Off => {}
-                    }
-                }
-            }
+            self.step_domain(d0, d1, end - start);
             return;
         }
 
@@ -1308,7 +1424,7 @@ impl Shard<'_> {
                 }
             }
             // One fused segment [t, cut) for every core of the domain.
-            self.step_domain(dom, d0, d1, cut - t);
+            self.step_domain(d0, d1, cut - t);
             t = cut;
             if t < end {
                 self.apply_flips(dom, d0, d1);
@@ -1330,28 +1446,18 @@ impl Shard<'_> {
     }
 
     /// Open an epoch of domain `d0..d1` at `start`: reuse the calendar if
-    /// it sits at `start`, else rebuild it there in place; apply the
+    /// it sits at `start`, else rebuild it there in place; then apply the
     /// handler state at `start` (what the reference's first
-    /// `sync_handlers(t)` call does for these contexts); then cache the
-    /// run state and accounting mode per context — neither can change
-    /// mid-epoch except at handler flips.
+    /// `sync_handlers(t)` call does for these contexts).
     fn open_domain(&mut self, dom: &mut DomainCalendar, d0: usize, d1: usize, start: Cycles) {
         let nctx = (d1 - d0) * 2;
-        let DomainCalendar {
-            cal,
-            counts,
-            running,
-            mode,
-            at,
-        } = dom;
+        let DomainCalendar { cal, counts, at } = dom;
         if *at != Some(start) {
             // Seed cursors at `start`. Foreign contexts of a multi-core
             // domain's cut range map to the ignore slot `nctx`.
             cal.clear();
             counts.clear();
             counts.resize(nctx, 0);
-            running.resize(nctx, false);
-            mode.resize(nctx, CtxMode::OFF);
             for k in self.cut_range(d0, d1) {
                 for &i in &self.noise_index[self.base + k] {
                     let s = &self.noise[i as usize];
@@ -1371,12 +1477,8 @@ impl Shard<'_> {
         }
         for k in d0..d1 {
             for th in ThreadId::BOTH {
-                let ti = th.index();
-                let slot = (k - d0) * 2 + ti;
+                let slot = (k - d0) * 2 + th.index();
                 self.apply_handler_state(k, th, counts[slot] > 0);
-                running[slot] = self.ctx_owner[k][ti]
-                    .is_some_and(|pid| self.procs[&pid].state == ProcRunState::Running);
-                mode[slot] = self.ctx_mode(k, ti, running[slot]);
             }
         }
     }
@@ -1407,37 +1509,28 @@ impl Shard<'_> {
 
     /// Step every core of domain `d0..d1` by `seg` cycles under the cached
     /// accounting modes.
-    fn step_domain(&mut self, dom: &DomainCalendar, d0: usize, d1: usize, seg: Cycles) {
+    fn step_domain(&mut self, d0: usize, d1: usize, seg: Cycles) {
         for k in d0..d1 {
             let retired = self.cores[k].advance(seg);
             for (ti, &r) in retired.iter().enumerate() {
-                let m = dom.mode[(k - d0) * 2 + ti];
-                let a = &mut self.acct[k][ti];
-                if m.count {
-                    a.retired += r;
-                }
-                match m.bucket {
-                    Bucket::Irq => a.irq += seg,
-                    Bucket::Busy => a.busy += seg,
-                    Bucket::Spin => a.spin += seg,
-                    Bucket::Off => {}
-                }
+                let st = &self.ctx_state[k][ti];
+                debug_assert_eq!(
+                    st.mode,
+                    st.mode_for(self.procs.owner_running(self.ctx_owner[k][ti])),
+                    "stale accounting mode"
+                );
+                self.acct[k][ti].add(st.mode.delta(r, seg));
             }
         }
     }
 
-    /// Apply the handler state the counts ask for, refreshing the cached
-    /// mode of exactly the contexts that flip.
-    fn apply_flips(&mut self, dom: &mut DomainCalendar, d0: usize, d1: usize) {
+    /// Apply the handler state the counts ask for (which refreshes the
+    /// cached mode of exactly the contexts that flip).
+    fn apply_flips(&mut self, dom: &DomainCalendar, d0: usize, d1: usize) {
         for k in d0..d1 {
             for th in ThreadId::BOTH {
-                let ti = th.index();
-                let slot = (k - d0) * 2 + ti;
-                let desired = dom.counts[slot] > 0;
-                if desired != self.ctx_state[k][ti].in_handler {
-                    self.apply_handler_state(k, th, desired);
-                    dom.mode[slot] = self.ctx_mode(k, ti, dom.running[slot]);
-                }
+                let slot = (k - d0) * 2 + th.index();
+                self.apply_handler_state(k, th, dom.counts[slot] > 0);
             }
         }
     }
@@ -1502,7 +1595,7 @@ impl Shard<'_> {
                     crossed = b;
                     let dom = &mut domains[k];
                     if self.drain(dom, k, k + 1, b) {
-                        self.step_domain(dom, k, k + 1, b - walk[k].at);
+                        self.step_domain(k, k + 1, b - walk[k].at);
                         walk[k].at = b;
                         self.apply_flips(dom, k, k + 1);
                         self.predict(&mut walk[k], k, b);
@@ -1521,7 +1614,7 @@ impl Shard<'_> {
         for (k, w) in walk.iter().enumerate() {
             let dom = &mut domains[k];
             if stop > w.at {
-                self.step_domain(dom, k, k + 1, stop - w.at);
+                self.step_domain(k, k + 1, stop - w.at);
             }
             self.close_domain(dom, k, k + 1, stop);
         }
@@ -1540,7 +1633,7 @@ impl Shard<'_> {
     /// `goal` instructions for its process: [`Machine::cycles_to_retire`]
     /// of what is left, counting what the walk retired so far.
     fn due(&self, k: usize, ti: usize, goal: u64, t: Cycles) -> Option<Cycles> {
-        let pcb = &self.procs[&self.ctx_owner[k][ti]?];
+        let pcb = self.procs.get(self.ctx_owner[k][ti]?)?;
         let st = &self.ctx_state[k][ti];
         if pcb.state != ProcRunState::Running || st.in_handler || !st.counting {
             return None;
@@ -1552,30 +1645,6 @@ impl Shard<'_> {
         self.cores[k]
             .cycles_to_retire(ThreadId::from_index(ti), remaining)
             .map(|dt| t + dt)
-    }
-
-    /// The accounting decision for one context under its current handler
-    /// and installation state — the exact branch structure of the
-    /// reference walk, evaluated once instead of per segment.
-    fn ctx_mode(&self, k: usize, ti: usize, running: bool) -> CtxMode {
-        if self.ctx_owner[k][ti].is_none() {
-            return CtxMode::OFF;
-        }
-        let st = &self.ctx_state[k][ti];
-        CtxMode {
-            count: st.counting,
-            bucket: if st.in_handler && running {
-                Bucket::Irq
-            } else if st.installed.is_some() {
-                if st.counting {
-                    Bucket::Busy
-                } else {
-                    Bucket::Spin
-                }
-            } else {
-                Bucket::Off
-            },
-        }
     }
 
     /// Enter or exit the handler window for one context so that its
@@ -1612,8 +1681,10 @@ impl Shard<'_> {
     }
 
     fn enter_handler(&mut self, k: usize, thread: ThreadId) {
-        let st = &mut self.ctx_state[k][thread.index()];
+        let ti = thread.index();
+        let st = &mut self.ctx_state[k][ti];
         st.in_handler = true;
+        st.refresh(self.procs.owner_running(self.ctx_owner[k][ti]));
         // The pinned process stops making progress for the window.
         self.cores[k].clear(thread);
         // Stock kernels reset the hardware priority to MEDIUM on handler
@@ -1625,12 +1696,14 @@ impl Shard<'_> {
 
     fn exit_handler(&mut self, k: usize, thread: ThreadId) {
         let ti = thread.index();
-        self.ctx_state[k][ti].in_handler = false;
-        let installed = self.ctx_state[k][ti].installed.clone();
+        let st = &mut self.ctx_state[k][ti];
+        st.in_handler = false;
+        st.refresh(self.procs.owner_running(self.ctx_owner[k][ti]));
+        let installed = st.installed.clone();
         match installed {
             Some(w) => {
                 let pid = self.ctx_owner[k][ti].expect("installed implies owner");
-                let wish = self.procs[&pid].hmt_priority;
+                let wish = self.procs.get(pid).expect("owner pid exists").hmt_priority;
                 self.cores[k].assign(thread, w);
                 // Vanilla: the kernel does not know the previous priority,
                 // so the context stays at the handler value. Patched: the

@@ -3,7 +3,9 @@
 //! multiplies into every meso run: after one warm-up epoch, stepping the
 //! machine, asking every process for its completion time, rewriting
 //! priorities and re-installing workloads at noise-handler exits must not
-//! touch the heap.
+//! touch the heap. The process table behind those calls answers any pid,
+//! known or not, with a typed result and without memory in proportion to
+//! the pid value.
 //!
 //! This file is a test binary of its own because it installs a counting
 //! global allocator.
@@ -12,7 +14,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mtb_oskernel::noise::interrupt_annoyance;
-use mtb_oskernel::{CtxAddr, KernelConfig, Machine, NoiseSource};
+use mtb_oskernel::{
+    CtxAddr, KernelConfig, Machine, MachineError, NoiseSource, PriorityError, WaitPolicy,
+};
 use mtb_smtsim::chip::build_cores;
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{Workload, WorkloadProfile};
@@ -21,6 +25,8 @@ use mtb_trace::Cycles;
 thread_local! {
     /// Heap allocations (including reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations made so far by the calling thread.
@@ -28,10 +34,17 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-fn count_one() {
+/// Bytes allocated so far by the calling thread.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+fn count_one(size: usize) {
     // `try_with`: a thread may still allocate while its locals are torn
-    // down. The cell is const-initialised, so reaching it never allocates.
+    // down. The cells are const-initialised, so reaching them never
+    // allocates.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 /// The system allocator plus a per-thread allocation counter, so the test
@@ -43,20 +56,20 @@ struct CountingAlloc;
 // thread-local counter update that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `alloc`'s contract, which is the one
         // `System.alloc` requires.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`; the caller upholds the rest of `realloc`'s
         // contract.
@@ -164,4 +177,85 @@ fn noisy_engine_steps_do_not_allocate() {
         "noise was delivered"
     );
     assert!((0..4).all(|pid| m.retired(pid) > 0), "every process ran");
+}
+
+/// Every pid-taking call answers an unknown pid the way the process
+/// table always has — its typed error, `None` or 0 — without touching
+/// the heap, whatever the pid's value; a pid at `usize::MAX` spawns like
+/// any other, and the table stays in ascending pid order.
+#[test]
+fn process_table_edge_cases_stay_typed() {
+    let mut m = four_processes();
+    let w = Workload::from_spec("u", StreamSpec::balanced(9));
+
+    let before = (allocs(), bytes());
+    m.spawn(usize::MAX, "Pmax", CtxAddr::from_cpu(3))
+        .expect_err("context 3 is taken");
+    let (made, size) = (allocs() - before.0, bytes() - before.1);
+    assert!(
+        size < 4096,
+        "a refused spawn allocated {made} times, {size} B"
+    );
+
+    let mut wide = Machine::new(build_cores(4, false), KernelConfig::patched());
+    for (pid, cpu) in [(usize::MAX, 0), (7, 1), (1 << 40, 2), (0, 3)] {
+        let before = bytes();
+        wide.spawn(pid, format!("P{cpu}"), CtxAddr::from_cpu(cpu))
+            .unwrap();
+        assert!(
+            bytes() - before < 4096,
+            "spawning pid {pid} allocated in proportion"
+        );
+    }
+    assert_eq!(
+        wide.spawn(usize::MAX, "again", CtxAddr::from_cpu(4)),
+        Err(MachineError::DuplicatePid)
+    );
+    assert_eq!(
+        wide.spawn(1 << 40, "again", CtxAddr::from_cpu(4)),
+        Err(MachineError::DuplicatePid)
+    );
+    let ascending = vec![0, 7, 1 << 40, usize::MAX];
+    assert_eq!(wide.pids(), ascending);
+    let saved: Vec<usize> = wide.save_state().procs.iter().map(|p| p.pid).collect();
+    assert_eq!(saved, ascending);
+    wide.run_workload(usize::MAX, w.clone()).unwrap();
+    wide.advance(1_000);
+    assert!(wide.retired(usize::MAX) > 0, "the pid-MAX process runs");
+    assert_eq!(wide.pcb(usize::MAX).unwrap().affinity, CtxAddr::from_cpu(0));
+
+    let free = CtxAddr::from_cpu(5);
+    for policy in [
+        WaitPolicy::SpinOwn,
+        WaitPolicy::SpinAt(2),
+        WaitPolicy::Block,
+    ] {
+        wide.set_wait_policy(policy);
+        for pid in [4, 8, (1 << 40) + 1, usize::MAX - 1] {
+            let w = w.clone();
+            let before = allocs();
+            assert!(wide.pcb(pid).is_none());
+            assert_eq!(wide.retired(pid), 0);
+            assert_eq!(wide.cycles_to_retire(pid, 10), None);
+            assert_eq!(wide.run_workload(pid, w), Err(MachineError::NoSuchProcess));
+            assert_eq!(wide.enter_wait(pid), Err(MachineError::NoSuchProcess));
+            assert_eq!(wide.block(pid), Err(MachineError::NoSuchProcess));
+            assert_eq!(wide.exit(pid), Err(MachineError::NoSuchProcess));
+            assert_eq!(wide.migrate(pid, free), Err(MachineError::NoSuchProcess));
+            assert_eq!(
+                wide.migrate(pid, CtxAddr::from_cpu(99)),
+                Err(MachineError::NoSuchContext)
+            );
+            assert_eq!(wide.swap(pid, 7), Err(MachineError::NoSuchProcess));
+            assert_eq!(wide.swap(7, pid), Err(MachineError::NoSuchProcess));
+            assert_eq!(wide.swap(pid, pid), Err(MachineError::NoSuchProcess));
+            assert_eq!(
+                wide.set_priority_procfs(pid, 5),
+                Err(PriorityError::NoSuchProcess)
+            );
+            let made = allocs() - before;
+            assert_eq!(made, 0, "unknown pid {pid} allocated {made} times");
+        }
+    }
+    assert_eq!(wide.pids(), ascending, "failed calls left the table alone");
 }

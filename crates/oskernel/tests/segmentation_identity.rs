@@ -5,9 +5,12 @@
 //! epoch splits (including splits landing exactly on noise boundaries,
 //! the checkpoint-coincident case), both core fidelities, and both the
 //! sequential and the 4-worker sharded stepping paths. A scripted variant
-//! checks the calendar each conflict domain carries across epochs: its
-//! scripts rewind to earlier snapshots, add sources mid-run and detour
-//! through the other segmentation.
+//! checks the calendar each conflict domain carries across epochs and the
+//! accounting mode each context caches: its scripts rewind to earlier
+//! snapshots, add sources mid-run (or to a machine that started with
+//! none, whose epochs take the quiet path), detour through the other
+//! segmentation, and change process state between epochs — spin, block,
+//! new workloads, migrations, swaps, exits and priority writes.
 
 use std::sync::Arc;
 
@@ -70,21 +73,23 @@ fn run(
     seg: Segmentation,
     threads: usize,
 ) -> MachineState {
-    let mut m = loaded(fidelity, cores_per_l2, noise, seg, threads);
+    let mut m = loaded(fidelity, cores_per_l2, noise, seg, threads, &[]);
     for &dt in epochs {
         m.advance(dt);
     }
     m.save_state()
 }
 
-/// A machine with a running, prioritised process on every context and
-/// the given noise, under the given segmentation and thread count.
+/// A machine with a running, prioritised process (pid = cpu) on every
+/// context but the `free` cpus, and the given noise, under the given
+/// segmentation and thread count.
 fn loaded(
     fidelity: &Fidelity,
     cores_per_l2: usize,
     noise: &[NoiseSpec],
     seg: Segmentation,
     threads: usize,
+    free: &[usize],
 ) -> Machine {
     let mut m = Machine::new(
         build_cores_grouped(CORES, fidelity, cores_per_l2),
@@ -98,7 +103,7 @@ fn loaded(
             Arc::new(Budget::new(16)),
         )));
     }
-    for cpu in 0..CORES * 2 {
+    for cpu in (0..CORES * 2).filter(|c| !free.contains(c)) {
         m.spawn(cpu, format!("P{cpu}"), CtxAddr::from_cpu(cpu))
             .unwrap();
         m.run_workload(
@@ -114,9 +119,15 @@ fn loaded(
     m
 }
 
+/// Contexts the scripts leave without a process, so migrations can land.
+const SCRIPT_FREE: [usize; 2] = [3, 6];
+
 /// One step of a machine script: the operations that move a domain's
 /// carried noise calendar away from the next epoch's start or change
-/// the source set under it.
+/// the source set under it, and the process-state changes a context's
+/// cached accounting mode must follow. Process steps name pids
+/// `0..CORES * 2`; the free cpus' pids do not exist, so those steps
+/// exercise the error paths too.
 #[derive(Debug, Clone)]
 enum Step {
     /// `advance(dt)` under the script's segmentation.
@@ -129,20 +140,48 @@ enum Step {
     Restore,
     /// One `advance(dt)` under the other segmentation, then back.
     Detour(u64),
+    /// `spin(pid)`: an MPI busy-wait.
+    Spin(usize),
+    /// `block(pid)`.
+    Block(usize),
+    /// `run_workload(pid, ..)` of a fresh workload.
+    Run(usize, u64),
+    /// `migrate(pid, cpu)`.
+    Migrate(usize, usize),
+    /// `swap(pid, pid)`.
+    Swap(usize, usize),
+    /// `exit(pid)`.
+    Exit(usize),
+    /// `set_priority_procfs(pid, value)`, any value 0..=7.
+    Priority(usize, u8),
 }
 
-/// Mostly plain epochs, each other step one time in ten.
+/// Half plain epochs; the rest spread over the other steps.
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..10, 1u64..=3000, noise_spec()).prop_map(|(kind, dt, spec)| match kind {
-        0..=5 => Step::Advance(dt),
-        6 => Step::AddNoise(spec),
-        7 => Step::Save,
-        8 => Step::Restore,
-        _ => Step::Detour(dt),
-    })
+    (
+        0u8..21,
+        1u64..=3000,
+        noise_spec(),
+        (0usize..CORES * 2, 0usize..CORES * 2),
+    )
+        .prop_map(|(kind, dt, spec, (a, b))| match kind {
+            0..=9 => Step::Advance(dt),
+            10 => Step::AddNoise(spec),
+            11 => Step::Save,
+            12 => Step::Restore,
+            13 => Step::Detour(dt),
+            14 => Step::Spin(a),
+            15 => Step::Block(a),
+            16 => Step::Run(a, dt),
+            17 => Step::Migrate(a, b),
+            18 => Step::Swap(a, b),
+            19 => Step::Exit(a),
+            _ => Step::Priority(a, (dt % 8) as u8),
+        })
 }
 
-/// Play `script` on a loaded machine and return the final full state.
+/// Play `script` on a loaded machine and return the final full state,
+/// plus the outcome of every process step.
 fn run_script(
     fidelity: &Fidelity,
     cores_per_l2: usize,
@@ -150,31 +189,58 @@ fn run_script(
     script: &[Step],
     seg: Segmentation,
     threads: usize,
-) -> MachineState {
+) -> (MachineState, Vec<String>) {
     let other = match seg {
         Segmentation::Calendar => Segmentation::Reference,
         Segmentation::Reference => Segmentation::Calendar,
     };
-    let mut m = loaded(fidelity, cores_per_l2, noise, seg, threads);
+    let mut m = loaded(fidelity, cores_per_l2, noise, seg, threads, &SCRIPT_FREE);
     let mut saved = None;
+    let mut outcomes = Vec::new();
     for s in script {
-        match s {
-            Step::Advance(dt) => m.advance(*dt),
-            Step::AddNoise(spec) => m.add_noise(build(spec)),
-            Step::Save => saved = Some(m.save_state()),
+        let outcome = match s {
+            Step::Advance(dt) => {
+                m.advance(*dt);
+                None
+            }
+            Step::AddNoise(spec) => {
+                m.add_noise(build(spec));
+                None
+            }
+            Step::Save => {
+                saved = Some(m.save_state());
+                None
+            }
             Step::Restore => {
                 if let Some(snap) = &saved {
                     m.restore_state(snap).expect("same machine shape");
                 }
+                None
             }
             Step::Detour(dt) => {
                 m.set_segmentation(other);
                 m.advance(*dt);
                 m.set_segmentation(seg);
+                None
             }
-        }
+            Step::Spin(pid) => Some(format!("{:?}", m.spin(*pid))),
+            Step::Block(pid) => Some(format!("{:?}", m.block(*pid))),
+            Step::Run(pid, seed) => Some(format!(
+                "{:?}",
+                m.run_workload(*pid, Workload::from_spec("r", StreamSpec::balanced(*seed)))
+            )),
+            Step::Migrate(pid, cpu) => {
+                Some(format!("{:?}", m.migrate(*pid, CtxAddr::from_cpu(*cpu))))
+            }
+            Step::Swap(a, b) => Some(format!("{:?}", m.swap(*a, *b))),
+            Step::Exit(pid) => Some(format!("{:?}", m.exit(*pid))),
+            Step::Priority(pid, value) => {
+                Some(format!("{:?}", m.set_priority_procfs(*pid, *value)))
+            }
+        };
+        outcomes.extend(outcome);
     }
-    m.save_state()
+    (m.save_state(), outcomes)
 }
 
 proptest! {
@@ -217,13 +283,15 @@ proptest! {
         }
     }
 
-    /// A calendar carried across epochs stays exact under everything
-    /// that moves it: rewinds to an earlier snapshot, sources registered
-    /// mid-run, and epochs stepped by the other segmentation. Full state
+    /// A calendar carried across epochs, and the accounting mode each
+    /// context caches, stay exact under everything that moves them:
+    /// rewinds to an earlier snapshot, sources registered mid-run (also
+    /// on machines that start without any), epochs stepped by the other
+    /// segmentation, and process-state changes between epochs. Full state
     /// equality with the reference script at 1 and 4 workers.
     #[test]
     fn carried_calendar_matches_reference_under_rewinds(
-        noise in proptest::collection::vec(noise_spec(), 1..6),
+        noise in proptest::collection::vec(noise_spec(), 0..6),
         script in proptest::collection::vec(step(), 1..40),
         cores_per_l2 in 1usize..=2,
         cycle in 0u8..2,

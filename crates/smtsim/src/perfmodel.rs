@@ -172,6 +172,37 @@ impl MesoConfig {
 /// integer still count it. Small enough to never span a real instruction.
 const FLOOR_EPS: f64 = 1e-9;
 
+/// 2^63: below it an `f64` truncates to `i64` without saturating.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x.floor()`, bit for bit, by integer truncation where that is exact:
+/// on `0 < x < 2^63` truncation is the floor, and the result, being the
+/// floor of an `f64`, converts back without rounding. Zero (keeping its
+/// sign), negatives, NaN, infinities and larger values take `f64::floor`.
+/// The baseline x86-64 target has no floor instruction, so this saves a
+/// libm call per context on every `MesoCore` re-anchor.
+#[inline]
+fn floor_f64(x: f64) -> f64 {
+    if x > 0.0 && x < TWO_POW_63 {
+        (x as i64) as f64
+    } else {
+        x.floor()
+    }
+}
+
+/// `x.ceil()`, bit for bit, the same way as [`floor_f64`]: truncation,
+/// plus one when it dropped a fraction (only possible below 2^52, where
+/// the sum is exact).
+#[inline]
+fn ceil_f64(x: f64) -> f64 {
+    if x > 0.0 && x < TWO_POW_63 {
+        let t = x as i64;
+        (if (t as f64) < x { t + 1 } else { t }) as f64
+    } else {
+        x.ceil()
+    }
+}
+
 #[derive(Debug, Clone)]
 struct MesoCtx {
     priority: HwPriority,
@@ -328,7 +359,7 @@ impl MesoCore {
         for (i, c) in self.ctx.iter_mut().enumerate() {
             let rate = if c.live() { rates[i] } else { 0.0 };
             let prog = c.progress_at(rate, self.cycle);
-            let whole = prog.floor();
+            let whole = floor_f64(prog);
             c.anchor_retired += whole as u64;
             c.carry = (prog - whole - FLOOR_EPS).clamp(0.0, 1.0);
             c.anchor_cycle = self.cycle;
@@ -382,7 +413,10 @@ impl CoreModel for MesoCore {
             if !c.live() {
                 continue;
             }
-            let total = c.anchor_retired + c.progress_at(rates[i], self.cycle).floor() as u64;
+            // `x as u64` truncates and saturates: it equals
+            // `x.floor() as u64` for every f64 (NaN and negatives give 0
+            // either way), without the libm call.
+            let total = c.anchor_retired + c.progress_at(rates[i], self.cycle) as u64;
             out[i] = total - c.retired;
             c.retired = total;
         }
@@ -453,7 +487,7 @@ impl CoreModel for MesoCore {
         }
         let target_f = target as f64;
         let elapsed = self.cycle - c.anchor_cycle;
-        let est = ((target_f - c.carry) / rate).ceil() - elapsed as f64;
+        let est = ceil_f64((target_f - c.carry) / rate) - elapsed as f64;
         if !est.is_finite() || est >= 9e18 {
             return Some(9_000_000_000_000_000_000);
         }
@@ -502,6 +536,59 @@ mod tests {
         core.set_priority(ThreadId::A, p(pa));
         core.set_priority(ThreadId::B, p(pb));
         core
+    }
+
+    /// The integer floor and ceil are `f64::floor`/`f64::ceil` bit for
+    /// bit, and the truncating cast is `floor() as u64`, on the edge
+    /// values and on random bit patterns.
+    #[test]
+    fn integer_floor_matches_libm_bit_for_bit() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.5,
+            -0.5,
+            -1.0,
+            -1.5,
+            two(52) - 1.0,
+            two(52) - 0.5,
+            two(52),
+            two(52) + 1.0,
+            two(53),
+            two(53) + 2.0,
+            two(63) - 1024.0,
+            two(63),
+            two(64) - 2048.0,
+            two(64),
+            two(65),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = crate::rng::SplitMix64::new(0x5eed);
+        for _ in 0..100_000 {
+            let bits = rng.next_u64();
+            xs.push(f64::from_bits(bits));
+            // Also the range the model lives in: positive, below 2^64.
+            xs.push(f64::from_bits(bits >> 2));
+            xs.push((bits >> 11) as f64 / 1024.0);
+        }
+        for x in xs {
+            assert_eq!(floor_f64(x).to_bits(), x.floor().to_bits(), "floor({x:e})");
+            assert_eq!(ceil_f64(x).to_bits(), x.ceil().to_bits(), "ceil({x:e})");
+            assert_eq!(x as u64, x.floor() as u64, "floor({x:e}) as u64");
+        }
     }
 
     #[test]
