@@ -17,42 +17,50 @@
 //!   byte-identical across cached and fresh runs. Static, case and
 //!   controller-driven ([`SweepRunner::run_dynamic`]) runs all cache.
 //!
-//! **The cache key** is a streaming FNV-1a hash over a binary encoding
-//! of the configuration, fed field by field with no intermediate string:
-//! a key-format tag (`KEY_FORMAT`), [`SCHEMA_VERSION`], the run kind,
-//! the small case and run fields (name, priorities, placement, kernel,
-//! noise, fidelity, topology, …) in their debug form, and then every
-//! rank's program name and *flattened* op stream, walked in place with
-//! [`mtb_mpisim::interp::for_each_op`]. Each op is a variant tag followed
-//! by its fields — integers as little-endian bytes, `f64` profile fields
-//! as their bit patterns, strings length-prefixed — so every work amount,
-//! message size and workload profile is covered, and distinct
-//! configurations feed distinct byte streams. Engine changes require
-//! bumping [`SCHEMA_VERSION`]; key-encoding changes bump `KEY_FORMAT`.
-//! Either way old record files are never requested again: they are
-//! orphaned and safe to delete.
+//! **The cache key** is a 64-bit hash over a word encoding of the
+//! configuration, fed field by field with no intermediate buffer: a
+//! key-format tag (`KEY_FORMAT`), [`SCHEMA_VERSION`], the run kind, the
+//! small case and run fields (name, priorities, placement, kernel, noise,
+//! fidelity, topology, …) in their debug form, and then every rank's
+//! program name and statement tree. The tree is walked, not unrolled: a
+//! loop with no [`Stmt::DynCompute`] below it runs `count` copies of its
+//! body's op stream, so it is keyed once as a begin tag, its count, its
+//! body and an end tag; a loop that holds a `DynCompute` is unrolled with
+//! its counters, as the engine's [`mtb_mpisim::interp::for_each_op`]
+//! does, and each closure is evaluated at the loop context the engine
+//! sees. Equal trees therefore give equal op streams, and the encoding
+//! stays self-delimiting: each op is a variant tag and its fields, every
+//! integer, tag and `f64` bit pattern one 64-bit word, every string a
+//! length word and its zero-padded 8-byte chunks, so distinct
+//! configurations feed distinct words. Each word is scrambled by a
+//! multiply–rotate step before it joins the state, and the SplitMix64
+//! finalizer closes the key; FNV-1a's bare multiply per word would let two
+//! words that differ only in their top bits cancel. Engine changes
+//! require bumping [`SCHEMA_VERSION`]; key-encoding changes bump
+//! `KEY_FORMAT`. Either way old record files are never requested again:
+//! they are orphaned and safe to delete.
 //!
 //! **A record file** is compact JSON written field by field in a fixed
 //! order ([`RunRecord::to_json`]) and decoded in one pass with the pull
 //! [`mtb_snap::json::Reader`] ([`RunRecord::from_json`]), which accepts
-//! exactly that order. Anything else — a truncation, a reordered key, a
-//! bad number — is an `Err`, and the harness deletes the file and
-//! re-simulates. A record from another schema is recognized from its
-//! leading `schema` field alone.
+//! exactly that order and reads its integer arrays on the reader's
+//! compact fast path. Anything else — a truncation, a reordered key, a
+//! bad number, a timeline whose intervals are empty or not contiguous —
+//! is an `Err`, and the harness deletes the file and re-simulates. A
+//! record from another schema is recognized from its leading `schema`
+//! field alone.
 
 use crate::json::{write_f64, write_string, write_u64, Reader};
 use mtb_core::balance::{execute, execute_chunked, BalanceError, CheckpointSink, StaticRun};
 use mtb_core::paper_cases::Case;
 use mtb_core::TwoLevelController;
 use mtb_mpisim::engine::RunResult;
-use mtb_mpisim::interp::{for_each_op, FlatOp, OpRef};
-use mtb_mpisim::program::{Program, TracePhase, WorkSpec};
+use mtb_mpisim::program::{LoopCtx, Program, Stmt, TracePhase, WorkSpec};
 use mtb_mpisim::{Engine, NullObserver};
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{Workload, WorkloadProfile};
-use mtb_snap::Fnv1a;
 use mtb_trace::paraver::CommEvent;
-use mtb_trace::{ProcState, RunMetrics, Timeline, TimelineBuilder};
+use mtb_trace::{Interval, ProcState, RunMetrics, Timeline};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,11 +101,13 @@ pub const SCHEMA_VERSION: u64 = 5;
 /// [`SCHEMA_VERSION`] — which record hashes cover — stays put).
 ///
 /// Format 1 (unnamed) hashed the debug text of every flattened op;
-/// format 2 streams the binary encoding described in the module docs.
-const KEY_FORMAT: &str = "mtb-key/2";
+/// format 2 FNV-1a-hashed a byte encoding of the flattened op stream;
+/// format 3 hashes the statement tree a word at a time, as the module
+/// docs describe.
+const KEY_FORMAT: &str = "mtb-key/3";
 
-/// 64-bit FNV-1a — the cache's (and the per-case seed's) hash function,
-/// shared with the checkpoint layer so both hash domains agree.
+/// 64-bit FNV-1a — the record hash's and the per-case seed's hash
+/// function, shared with the checkpoint layer so both hash domains agree.
 pub use mtb_snap::fnv1a;
 
 /// A deterministic per-case seed: a pure function of the case identity
@@ -112,40 +122,51 @@ pub fn case_seed(case: &Case) -> u64 {
     fnv1a(key.as_bytes())
 }
 
-/// The op-stream terminator; op variant tags are `0..=10`.
-const END_OF_PROGRAM: u8 = 0xff;
+/// Structural tags of the key encoding; op variant tags are `0..=10`.
+const LOOP_BEGIN: u64 = 11;
+const LOOP_END: u64 = 12;
+const END_OF_PROGRAM: u64 = 0xff;
 
-/// Streams a cache key into FNV-1a. Every field is self-delimiting —
-/// fixed-width integers, `f64` bit patterns, variant tags and
-/// length-prefixed strings — so the byte stream decodes back to exactly
-/// one configuration. Structs are destructured without `..`: a new field
-/// is a compile error here rather than a silent cache collision.
-struct KeyHasher(Fnv1a);
+/// Streams a cache key a 64-bit word at a time. Every field is
+/// self-delimiting — one word per integer, tag or `f64` bit pattern, and a
+/// length word ahead of a string's zero-padded 8-byte chunks — so the word
+/// stream decodes back to exactly one configuration. Structs are
+/// destructured without `..`: a new field is a compile error here rather
+/// than a silent cache collision.
+struct KeyHasher(u64);
 
 impl KeyHasher {
     /// A key for runs of `kind`, under the current format and schema.
     fn new(kind: &str) -> KeyHasher {
-        let mut key = KeyHasher(Fnv1a::new());
+        let mut key = KeyHasher(0);
         key.str(KEY_FORMAT);
         key.u64(SCHEMA_VERSION);
         key.str(kind);
         key
     }
 
+    /// The SplitMix64 finalizer over the absorbed state.
     fn finish(&self) -> u64 {
-        self.0.finish()
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
-    fn u8(&mut self, b: u8) {
-        self.0.write(&[b]);
-    }
-
-    fn u32(&mut self, n: u32) {
-        self.0.write(&n.to_le_bytes());
-    }
-
-    fn u64(&mut self, n: u64) {
-        self.0.write(&n.to_le_bytes());
+    /// Absorb one word: the word is scrambled (multiply, rotate,
+    /// multiply) before it meets the state, which is then rotated and
+    /// multiplied. A bare multiply per word, as FNV-1a does per byte, only
+    /// carries a difference upwards: two words that differ in their top
+    /// bits cancel.
+    fn u64(&mut self, w: u64) {
+        let k = w
+            .wrapping_mul(0x87c3_7b91_1142_53d5)
+            .rotate_left(31)
+            .wrapping_mul(0x4cf5_ad43_2745_937f);
+        self.0 = (self.0 ^ k)
+            .rotate_left(27)
+            .wrapping_mul(5)
+            .wrapping_add(0x52dc_e729);
     }
 
     fn f64(&mut self, x: f64) {
@@ -154,7 +175,11 @@ impl KeyHasher {
 
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        self.0.write(s.as_bytes());
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.u64(u64::from_le_bytes(word));
+        }
     }
 
     /// A small configuration field, by its debug form.
@@ -162,22 +187,98 @@ impl KeyHasher {
         self.str(&format!("{v:?}"));
     }
 
-    /// Every rank's program name and flattened op stream.
+    /// Every rank's program name and statement tree.
     fn programs(&mut self, programs: &[Program]) {
         self.u64(programs.len() as u64);
         for (rank, program) in programs.iter().enumerate() {
-            match &program.name {
-                None => self.u8(0),
+            let Program { name, body } = program;
+            match name {
+                None => self.u64(0),
                 Some(name) => {
-                    self.u8(1);
+                    self.u64(1);
                     self.str(name);
                 }
             }
-            for_each_op(program, rank, |op| match op {
-                OpRef::Work(work) => self.work(work),
-                OpRef::Op(op) => self.op(&op),
-            });
-            self.u8(END_OF_PROGRAM);
+            let mut ctx = LoopCtx {
+                rank,
+                counters: Vec::new(),
+            };
+            self.stmts(body, &mut ctx);
+            self.u64(END_OF_PROGRAM);
+        }
+    }
+
+    /// The statements of `body` as the engine meets them at `ctx`. A loop
+    /// with no [`Stmt::DynCompute`] below it runs its body's op stream
+    /// `count` times over, so it is keyed once: a begin tag, the count, the
+    /// body and an end tag. A loop that holds one is unrolled with its
+    /// counters, as [`mtb_mpisim::interp::for_each_op`] does, so every
+    /// closure is evaluated at the [`LoopCtx`] the engine sees.
+    fn stmts(&mut self, body: &[Stmt], ctx: &mut LoopCtx) {
+        for stmt in body {
+            match stmt {
+                Stmt::Compute(work) => self.work(work),
+                Stmt::DynCompute(load) => self.work(&load(ctx)),
+                Stmt::Loop { count, body } if holds_dyn(body) => {
+                    for i in 0..*count {
+                        ctx.counters.push(i);
+                        self.stmts(body, ctx);
+                        ctx.counters.pop();
+                    }
+                }
+                Stmt::Loop { count, body } => {
+                    self.u64(LOOP_BEGIN);
+                    self.u64(u64::from(*count));
+                    self.stmts(body, ctx);
+                    self.u64(LOOP_END);
+                }
+                Stmt::Send { to, tag, bytes } => {
+                    self.u64(1);
+                    self.u64(*to as u64);
+                    self.u64(u64::from(*tag));
+                    self.u64(*bytes);
+                }
+                Stmt::Recv { from, tag } => {
+                    self.u64(2);
+                    self.u64(*from as u64);
+                    self.u64(u64::from(*tag));
+                }
+                Stmt::Isend { to, tag, bytes } => {
+                    self.u64(3);
+                    self.u64(*to as u64);
+                    self.u64(u64::from(*tag));
+                    self.u64(*bytes);
+                }
+                Stmt::Irecv { from, tag } => {
+                    self.u64(4);
+                    self.u64(*from as u64);
+                    self.u64(u64::from(*tag));
+                }
+                Stmt::WaitAll => self.u64(5),
+                Stmt::Barrier => self.u64(6),
+                Stmt::AllReduce { bytes } => {
+                    self.u64(7);
+                    self.u64(*bytes);
+                }
+                Stmt::Bcast { root, bytes } => {
+                    self.u64(8);
+                    self.u64(*root as u64);
+                    self.u64(*bytes);
+                }
+                Stmt::Reduce { root, bytes } => {
+                    self.u64(9);
+                    self.u64(*root as u64);
+                    self.u64(*bytes);
+                }
+                Stmt::Phase(phase) => {
+                    self.u64(10);
+                    self.u64(match phase {
+                        TracePhase::Init => 0,
+                        TracePhase::Body => 1,
+                        TracePhase::Final => 2,
+                    });
+                }
+            }
         }
     }
 
@@ -207,68 +308,16 @@ impl KeyHasher {
             unit_pressure,
             mem_intensity,
         } = profile;
-        self.u8(0);
+        self.u64(0);
         self.u64(*instructions);
         self.str(name);
         for n in [fx, fp, ls, br, dep_dist, code_kb] {
-            self.u32(*n);
+            self.u64(u64::from(*n));
         }
         self.u64(*working_set);
         self.u64(*seed);
         for x in [ipc_st, unit_pressure, mem_intensity] {
             self.f64(*x);
-        }
-    }
-
-    fn op(&mut self, op: &FlatOp) {
-        match op {
-            FlatOp::Compute(work) => self.work(work),
-            FlatOp::Send { to, tag, bytes } => {
-                self.u8(1);
-                self.u64(*to as u64);
-                self.u32(*tag);
-                self.u64(*bytes);
-            }
-            FlatOp::Recv { from, tag } => {
-                self.u8(2);
-                self.u64(*from as u64);
-                self.u32(*tag);
-            }
-            FlatOp::Isend { to, tag, bytes } => {
-                self.u8(3);
-                self.u64(*to as u64);
-                self.u32(*tag);
-                self.u64(*bytes);
-            }
-            FlatOp::Irecv { from, tag } => {
-                self.u8(4);
-                self.u64(*from as u64);
-                self.u32(*tag);
-            }
-            FlatOp::WaitAll => self.u8(5),
-            FlatOp::Barrier => self.u8(6),
-            FlatOp::AllReduce { bytes } => {
-                self.u8(7);
-                self.u64(*bytes);
-            }
-            FlatOp::Bcast { root, bytes } => {
-                self.u8(8);
-                self.u64(*root as u64);
-                self.u64(*bytes);
-            }
-            FlatOp::Reduce { root, bytes } => {
-                self.u8(9);
-                self.u64(*root as u64);
-                self.u64(*bytes);
-            }
-            FlatOp::Phase(phase) => {
-                self.u8(10);
-                self.u8(match phase {
-                    TracePhase::Init => 0,
-                    TracePhase::Body => 1,
-                    TracePhase::Final => 2,
-                });
-            }
         }
     }
 
@@ -304,6 +353,15 @@ impl KeyHasher {
         self.debug(stepping);
         self.programs(programs);
     }
+}
+
+/// Whether a [`Stmt::DynCompute`] sits anywhere in `body`.
+fn holds_dyn(body: &[Stmt]) -> bool {
+    body.iter().any(|stmt| match stmt {
+        Stmt::DynCompute(_) => true,
+        Stmt::Loop { body, .. } => holds_dyn(body),
+        _ => false,
+    })
 }
 
 /// The cache key for a default-configuration case run.
@@ -505,38 +563,34 @@ impl RunRecord {
         }
     }
 
-    /// Rebuild the full [`RunResult`]. Timelines are replayed through
-    /// [`TimelineBuilder`] (the same path the engine uses) and metrics
-    /// recomputed with [`RunMetrics::from_timelines`], which is a pure
-    /// function of the timelines — so the reconstruction compares equal
-    /// to the original result.
+    /// Rebuild the full [`RunResult`]. A record's intervals are the ones
+    /// the engine's `TimelineBuilder` closed — non-empty, contiguous, a
+    /// new state each — so each timeline is rebuilt straight from them
+    /// (a repeated state is merged as the builder would), and metrics are
+    /// recomputed with [`RunMetrics::from_timelines`], a pure function of
+    /// the timelines: the reconstruction compares equal to the original
+    /// result.
+    ///
+    /// # Panics
+    /// Panics on a state index outside [`ProcState::ALL`] or a timeline
+    /// whose intervals are empty or not contiguous;
+    /// [`RunRecord::from_json`] rejects both.
     pub fn to_run_result(&self) -> RunResult {
         let timelines: Vec<Timeline> = self
             .timelines
             .iter()
             .map(|t| {
-                let mut ivs = t.intervals.iter();
-                let Some(&(s0, _, st0)) = ivs.next() else {
-                    return TimelineBuilder::new(
-                        t.pid as usize,
-                        t.label.clone(),
-                        0,
-                        ProcState::Idle,
-                    )
-                    .finish(0);
-                };
-                let mut b = TimelineBuilder::new(
-                    t.pid as usize,
-                    t.label.clone(),
-                    s0,
-                    ProcState::ALL[st0 as usize],
-                );
-                let mut end = t.intervals[0].1;
-                for &(s, e, st) in ivs {
-                    b.enter(ProcState::ALL[st as usize], s);
-                    end = e;
+                let mut intervals: Vec<Interval> = Vec::with_capacity(t.intervals.len());
+                for &(start, end, state) in &t.intervals {
+                    let state = ProcState::ALL[state as usize];
+                    match intervals.last_mut() {
+                        // `TimelineBuilder` keeps a repeated state open.
+                        Some(last) if last.state == state => last.end = end,
+                        _ => intervals.push(Interval { start, end, state }),
+                    }
                 }
-                b.finish(end)
+                Timeline::from_parts(t.pid as usize, t.label.clone(), intervals)
+                    .unwrap_or_else(|why| panic!("timeline {} of the record: {why}", t.pid))
             })
             .collect();
         let metrics = RunMetrics::from_timelines(&timelines);
@@ -672,7 +726,10 @@ impl RunRecord {
     }
 
     /// Parse a record back from JSON text in one pass, in the field order
-    /// [`RunRecord::to_json`] writes. Any other shape is an `Err`.
+    /// [`RunRecord::to_json`] writes. Any other shape is an `Err`, and so
+    /// is a timeline whose intervals are empty, overlap or leave a gap
+    /// (so [`RunRecord::to_run_result`] never meets one) and a per-rank
+    /// vector without one entry per timeline.
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
         let mut r = Reader::new(text);
         r.begin_object()?;
@@ -710,13 +767,25 @@ impl RunRecord {
             r.field("label")?;
             let label = r.string()?;
             r.field("intervals")?;
-            let mut intervals = Vec::new();
+            let mut intervals: Vec<(u64, u64, u8)> = Vec::new();
             r.begin_array()?;
             while r.next_item()? {
                 let [start, end, state] = r.u64_tuple()?;
                 if state >= ProcState::ALL.len() as u64 {
                     return Err(format!(
                         "state index {state} out of range before byte {}",
+                        r.position()
+                    ));
+                }
+                // `TimelineBuilder` writes non-empty intervals, each
+                // starting where the previous one ended; anything else
+                // would make `to_run_result` panic or rebuild another
+                // timeline.
+                let follows = intervals.last().map_or(true, |&(_, prev, _)| prev == start);
+                if start >= end || !follows {
+                    return Err(format!(
+                        "interval [{start}, {end}) of timeline {pid} is empty or not \
+                         contiguous before byte {}",
                         r.position()
                     ));
                 }
@@ -744,6 +813,24 @@ impl RunRecord {
         }
         r.end_object()?;
         r.finish()?;
+        // Every per-rank vector has one entry per timeline, and readers
+        // of a rebuilt result index them by rank.
+        for (key, v) in [
+            ("compute_cycles", &compute_cycles),
+            ("sync_cycles", &sync_cycles),
+            ("retired", &retired),
+            ("interrupt_cycles", &interrupt_cycles),
+            ("busy_cycles", &busy_cycles),
+            ("spin_cycles", &spin_cycles),
+        ] {
+            if v.len() != timelines.len() {
+                return Err(format!(
+                    "{key} has {} entries for {} timelines",
+                    v.len(),
+                    timelines.len()
+                ));
+            }
+        }
         Ok(RunRecord {
             schema,
             case,
@@ -1271,7 +1358,6 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use mtb_core::paper_cases::{btmz_cases, metbench_cases, siesta_cases};
-    use mtb_mpisim::program::Stmt;
     use mtb_workloads::metbench::MetBenchConfig;
     use mtb_workloads::{BtMzConfig, SiestaConfig};
     use std::collections::HashMap;
@@ -1776,10 +1862,10 @@ mod tests {
     }
 
     /// The decoder on damaged input: every strict prefix of a real
-    /// paper-case record is an `Err`, and every single-byte flip in its
-    /// head is either an `Err`, the original record (a flip the format
-    /// cannot see), or a faithful decode of the flipped text (a digit or
-    /// letter that changed into another valid one) — never a panic.
+    /// paper-case record is an `Err`, and every single-byte flip is either
+    /// an `Err`, the original record (a flip the format cannot see), or a
+    /// faithful decode of the flipped text (a digit or letter that changed
+    /// into another valid one) that rebuilds a result — never a panic.
     #[test]
     fn decoder_rejects_truncations_and_survives_byte_flips() {
         let (case, result) = tiny_runs(&temp_runner(1, false)).remove(3);
@@ -1794,7 +1880,7 @@ mod tests {
         }
         let mut bytes = text.clone().into_bytes();
         let mut decoded = 0;
-        for at in 0..bytes.len().min(512) {
+        for at in 0..bytes.len() {
             for mask in [0x01, 0x02, 0x20, 0x80] {
                 bytes[at] ^= mask;
                 if let Ok(flipped) = std::str::from_utf8(&bytes) {
@@ -1805,12 +1891,127 @@ mod tests {
                             "flip {mask:#04x} at byte {at} decoded to a record that \
                              re-encodes differently"
                         );
+                        std::hint::black_box(back.to_run_result());
                     }
                 }
                 bytes[at] ^= mask;
             }
         }
         assert!(decoded > 0, "some flips (digits) decode to valid records");
+    }
+
+    /// A one-timeline record whose intervals are `[100,200)` in state 0
+    /// and `[200,300)` in state 1.
+    fn two_interval_record() -> RunRecord {
+        RunRecord {
+            schema: SCHEMA_VERSION,
+            case: "A".into(),
+            priorities: Vec::new(),
+            placement: Vec::new(),
+            wall_secs: 0.5,
+            compute_cycles: vec![100],
+            sync_cycles: vec![100],
+            retired: vec![7],
+            interrupt_cycles: vec![0],
+            busy_cycles: vec![100],
+            spin_cycles: vec![0],
+            total_cycles: 300,
+            notes: Vec::new(),
+            timelines: vec![TimelineRecord {
+                pid: 0,
+                label: "P1".into(),
+                intervals: vec![(100, 200, 0), (200, 300, 1)],
+            }],
+            comm: Vec::new(),
+        }
+    }
+
+    /// Regression test: intervals that run backwards or leave a gap used
+    /// to decode, and `to_run_result` then panicked in `TimelineBuilder`
+    /// ("going backwards", "finish() before last transition"); a per-rank
+    /// vector cut short decoded too, and `mtb ext noise` then indexed past
+    /// its end.
+    #[test]
+    fn from_json_rejects_broken_timelines_and_rank_vectors() {
+        let text = two_interval_record().to_json();
+        let intact = RunRecord::from_json(&text).unwrap();
+        assert_eq!(intact.to_run_result().timelines[0].intervals().len(), 2);
+        for (bad, why) in [
+            ("[50,300,1]", "starts before the previous end"),
+            ("[200,150,1]", "ends before it starts"),
+            ("[250,300,1]", "leaves a gap"),
+            ("[200,200,1]", "is empty"),
+        ] {
+            let damaged = text.replace("[200,300,1]", bad);
+            assert_ne!(damaged, text);
+            assert!(
+                RunRecord::from_json(&damaged).is_err(),
+                "an interval that {why} decoded: {bad}"
+            );
+            assert!(matches!(decode_current(&damaged), Err(Reject::Corrupt(_))));
+        }
+        let empty = text.replace("[100,200,0]", "[100,100,0]");
+        assert!(
+            RunRecord::from_json(&empty).is_err(),
+            "an empty first interval"
+        );
+        for key in [
+            "compute_cycles",
+            "sync_cycles",
+            "retired",
+            "interrupt_cycles",
+            "busy_cycles",
+            "spin_cycles",
+        ] {
+            let at = text.find(&format!("\"{key}\":[")).unwrap() + key.len() + 4;
+            let end = at + text[at..].find(']').unwrap();
+            for cut in [String::new(), format!("{},0", &text[at..end])] {
+                let damaged = format!("{}{cut}{}", &text[..at], &text[end..]);
+                assert!(
+                    RunRecord::from_json(&damaged).is_err(),
+                    "{key} with {cut:?} decoded"
+                );
+            }
+        }
+        // A repeated state is contiguous; it rebuilds as the builder
+        // would have closed it, as one interval.
+        let repeated = RunRecord::from_json(&text.replace("[200,300,1]", "[200,300,0]"));
+        let rebuilt = repeated.unwrap().to_run_result();
+        let ivs = rebuilt.timelines[0].intervals();
+        assert_eq!((ivs.len(), ivs[0].start, ivs[0].end), (1, 100, 300));
+    }
+
+    #[test]
+    fn records_with_broken_timelines_are_resimulated() {
+        let runner = temp_runner(1, true);
+        let cfg = MetBenchConfig::tiny();
+        let progs = cfg.programs();
+        let case = metbench_cases().remove(0);
+        let hash = config_hash(&case, &progs);
+        let clean = runner.run_case(&progs, &case);
+        let path = runner.record_path(hash);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let record = RunRecord::from_json(&text).unwrap();
+
+        // One changed number each: the second interval of the first
+        // timeline starts too early, or ends before it starts.
+        let (start, end, state) = record.timelines[0].intervals[1];
+        let intact = format!("[{start},{end},{state}]");
+        for bad in [
+            format!("[{},{end},{state}]", start - 1),
+            format!("[{start},{},{state}]", start - 1),
+        ] {
+            std::fs::write(&path, text.replacen(&intact, &bad, 1)).unwrap();
+            assert_eq!(runner.run_case(&progs, &case), clean);
+            assert_eq!(runner.stats().cache_hits, 0, "{bad} must not be served");
+            let restored = RunRecord::from_json(&std::fs::read_to_string(&path).unwrap());
+            assert_eq!(
+                restored.unwrap().timelines,
+                record.timelines,
+                "the fresh record replaces the broken one"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&runner.options().dir);
     }
 
     #[test]
@@ -2064,5 +2265,113 @@ mod tests {
         }
         // Keys are stable: the same configuration hashes the same.
         assert!(seen_case.contains_key(&config_hash(&case, &[base(), base()])));
+    }
+
+    /// Edits a tree-structured, word-wise key could blur: each changes
+    /// the op stream, so each must change all three keys.
+    #[test]
+    fn config_keys_separate_tree_edits() {
+        fn work(name: &str, instructions: u64) -> WorkSpec {
+            WorkSpec::new(
+                Workload::from_spec(name, StreamSpec::balanced(1)),
+                instructions,
+            )
+        }
+        fn load(ctx: &LoopCtx) -> WorkSpec {
+            work("d", 10 + u64::from(ctx.iteration()))
+        }
+        fn base() -> Vec<Program> {
+            vec![
+                Program::new(vec![
+                    Stmt::Compute(work("abcdefgh", 100)),
+                    Stmt::Loop {
+                        count: 3,
+                        body: vec![Stmt::Compute(work("w", 10)), Stmt::Barrier],
+                    },
+                    Stmt::AllReduce { bytes: 8 },
+                    Stmt::Loop {
+                        count: 3,
+                        body: vec![
+                            Stmt::DynCompute(Arc::new(load)),
+                            Stmt::DynCompute(Arc::new(|ctx| work("e", 20 + ctx.rank as u64))),
+                        ],
+                    },
+                    Stmt::Reduce { root: 0, bytes: 16 },
+                ])
+                .named("abc"),
+                Program::new(vec![Stmt::Barrier, Stmt::Compute(work("w", 5))]),
+            ]
+        }
+        fn static_loop(p: &mut [Program]) -> (&mut u32, &mut Vec<Stmt>) {
+            match &mut p[0].body[1] {
+                Stmt::Loop { count, body } => (count, body),
+                _ => unreachable!(),
+            }
+        }
+        fn rename(p: &mut [Program], name: &str) {
+            p[0].body[0] = Stmt::Compute(work(name, 100));
+        }
+        type Edit = fn(&mut [Program]);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("loop count + 1", |p| *static_loop(p).0 += 1),
+            ("loop count - 1", |p| *static_loop(p).0 -= 1),
+            ("adjacent ops swapped in a loop", |p| {
+                static_loop(p).1.swap(0, 1)
+            }),
+            ("adjacent ops swapped at the top", |p| p[0].body.swap(1, 2)),
+            ("op moved into the loop before it", |p| {
+                let op = p[0].body.remove(2);
+                static_loop(p).1.push(op);
+            }),
+            ("op moved to the next rank", |p| {
+                let op = p[0].body.pop().unwrap();
+                p[1].body.insert(0, op);
+            }),
+            ("dyn load differs at one iteration", |p| {
+                if let Stmt::Loop { body, .. } = &mut p[0].body[3] {
+                    body[0] = Stmt::DynCompute(Arc::new(|ctx| match ctx.iteration() {
+                        2 => work("d", 99),
+                        _ => load(ctx),
+                    }));
+                }
+            }),
+            ("name ends a chunk later", |p| rename(p, "abcdefghi")),
+            ("name one chunk short", |p| rename(p, "abcdefg")),
+            ("name with a trailing NUL", |p| {
+                p[0].name = Some("abc\0".into())
+            }),
+            ("name without its last byte", |p| {
+                p[0].name = Some("ab".into())
+            }),
+        ];
+        let placement = metbench_cases().remove(0).placement[..2].to_vec();
+        let case = Case {
+            name: "K",
+            placement: placement.clone(),
+            priorities: Vec::new(),
+        };
+        let keys = |programs: &[Program]| {
+            let run = StaticRun::new(programs, placement.clone());
+            [
+                config_hash(&case, programs),
+                config_hash_static(&run),
+                config_hash_dynamic(&run, "ctl"),
+            ]
+        };
+        let mut seen: [HashMap<u64, &str>; 3] = Default::default();
+        let mut variants: Vec<(&str, Option<Edit>)> = vec![("base", None)];
+        variants.extend(edits.into_iter().map(|(name, edit)| (name, Some(edit))));
+        for (name, edit) in variants {
+            let mut programs = base();
+            if let Some(edit) = edit {
+                edit(&mut programs);
+            }
+            for (hash, seen) in keys(&programs).into_iter().zip(&mut seen) {
+                if let Some(other) = seen.insert(hash, name) {
+                    panic!("{name} collides with {other} ({hash:016x})");
+                }
+            }
+        }
+        assert_eq!(keys(&base()), keys(&base()), "keys are stable");
     }
 }

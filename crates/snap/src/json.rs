@@ -201,6 +201,11 @@ pub fn write_f64(out: &mut String, x: f64) {
 /// truncation, a non-integer where an integer belongs) is an `Err` naming
 /// the byte offset, never a panic. [`Reader::value`] reads whatever node
 /// comes next as a [`Json`] tree, which is how [`Json::parse`] works.
+///
+/// Array items and integer arrays in the compact form the writers emit
+/// (no whitespace, bare commas) are read on a fast path in one pass over
+/// the bytes; any other byte sends the read down the general path from
+/// the same position, with the same values and the same errors.
 #[derive(Debug)]
 pub struct Reader<'a> {
     text: &'a str,
@@ -323,6 +328,30 @@ impl<'a> Reader<'a> {
     /// Position at the current array's next element and return `true`,
     /// or close the array and return `false`.
     pub fn next_item(&mut self) -> Result<bool, String> {
+        // The compact form `to_json` writes: `]`, a bare comma, or a first
+        // element that starts right after the `[`. Anything else takes the
+        // general path from the same position.
+        match (self.peek(), self.first) {
+            (Some(b']'), _) => {
+                self.pos += 1;
+                self.first = false;
+                Ok(false)
+            }
+            (Some(b','), false) => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            (Some(c), true) if !matches!(c, b' ' | b'\t' | b'\n' | b'\r') => {
+                self.first = false;
+                Ok(true)
+            }
+            _ => self.next_item_general(),
+        }
+    }
+
+    /// [`Reader::next_item`] for any spacing.
+    fn next_item_general(&mut self) -> Result<bool, String> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
@@ -445,11 +474,64 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// An array of integers in the compact form [`write_u64`] and
+    /// `to_json` write — `[`, canonical digits joined by bare commas, `]`
+    /// — read in one pass from the current position, handing each value
+    /// to `push`. Returns the position after the `]`, or `None` at the
+    /// first byte outside that form, at a 20-digit number, or when `push`
+    /// refuses a value; the reader is untouched either way, so the caller
+    /// can take the general path from the same position.
+    fn compact_u64s(&self, mut push: impl FnMut(u64) -> Option<()>) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        let mut at = self.pos;
+        if bytes.get(at) != Some(&b'[') {
+            return None;
+        }
+        at += 1;
+        if bytes.get(at) == Some(&b']') {
+            return Some(at + 1);
+        }
+        loop {
+            let start = at;
+            let mut n = 0u64;
+            while let Some(&d @ b'0'..=b'9') = bytes.get(at) {
+                n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                at += 1;
+            }
+            // Up to 19 digits cannot overflow; longer numbers, and empty
+            // or zero-led ones, are the general path's to accept or reject.
+            let digits = at - start;
+            if digits == 0 || digits > 19 || (digits > 1 && bytes[start] == b'0') {
+                return None;
+            }
+            push(n)?;
+            match bytes.get(at) {
+                Some(b',') => at += 1,
+                Some(b']') => return Some(at + 1),
+                _ => return None,
+            }
+        }
+    }
+
     /// Read an array of unsigned integers.
     pub fn u64_array(&mut self) -> Result<Vec<u64>, String> {
         let mut out = Vec::new();
+        if let Some(end) = self.compact_u64s(|n| {
+            out.push(n);
+            Some(())
+        }) {
+            self.pos = end;
+            self.first = false;
+            return Ok(out);
+        }
+        out.clear();
+        self.u64_array_general(out)
+    }
+
+    /// [`Reader::u64_array`] for any spacing, appending to `out`.
+    fn u64_array_general(&mut self, mut out: Vec<u64>) -> Result<Vec<u64>, String> {
         self.begin_array()?;
-        while self.next_item()? {
+        while self.next_item_general()? {
             out.push(self.u64()?);
         }
         Ok(out)
@@ -458,14 +540,31 @@ impl<'a> Reader<'a> {
     /// Read an array of exactly `N` unsigned integers.
     pub fn u64_tuple<const N: usize>(&mut self) -> Result<[u64; N], String> {
         let mut out = [0; N];
+        let mut len = 0;
+        let end = self.compact_u64s(|n| {
+            *out.get_mut(len)? = n;
+            len += 1;
+            Some(())
+        });
+        if let (Some(end), true) = (end, len == N) {
+            self.pos = end;
+            self.first = false;
+            return Ok(out);
+        }
+        self.u64_tuple_general()
+    }
+
+    /// [`Reader::u64_tuple`] for any spacing.
+    fn u64_tuple_general<const N: usize>(&mut self) -> Result<[u64; N], String> {
+        let mut out = [0; N];
         self.begin_array()?;
         for slot in &mut out {
-            if !self.next_item()? {
+            if !self.next_item_general()? {
                 return Err(self.err(&format!("expected {N} integers")));
             }
             *slot = self.u64()?;
         }
-        if self.next_item()? {
+        if self.next_item_general()? {
             return Err(self.err(&format!("expected ']' after {N} integers")));
         }
         Ok(out)
@@ -684,6 +783,121 @@ mod tests {
             "control characters must be escaped"
         );
         assert_eq!(Reader::new("3").f64(), Ok(3.0), "integers coerce");
+    }
+
+    /// The compact fast paths of `next_item`, `u64_array` and `u64_tuple`
+    /// against the general paths they skip: the same result, error text,
+    /// position and container state on every short string over the bytes
+    /// that matter, and on numbers around the 19-digit limit.
+    #[test]
+    fn compact_fast_paths_read_like_the_general_path() {
+        fn same<T: PartialEq + std::fmt::Debug>(
+            text: &str,
+            first: bool,
+            fast: impl Fn(&mut Reader<'_>) -> Result<T, String>,
+            general: impl Fn(&mut Reader<'_>) -> Result<T, String>,
+        ) {
+            let mut a = Reader {
+                text,
+                pos: 0,
+                first,
+            };
+            let mut b = Reader {
+                text,
+                pos: 0,
+                first,
+            };
+            let (x, y) = (fast(&mut a), general(&mut b));
+            assert_eq!(x, y, "{text:?} (first: {first})");
+            assert_eq!(
+                (a.pos, a.first),
+                (b.pos, b.first),
+                "{text:?} (first: {first})"
+            );
+        }
+        let check = |text: &str| {
+            for first in [true, false] {
+                same(text, first, |r| r.next_item(), |r| r.next_item_general());
+            }
+            same(
+                text,
+                true,
+                |r| r.u64_array(),
+                |r| r.u64_array_general(Vec::new()),
+            );
+            same(
+                text,
+                true,
+                |r| r.u64_tuple::<1>(),
+                |r| r.u64_tuple_general::<1>(),
+            );
+            same(
+                text,
+                true,
+                |r| r.u64_tuple::<2>(),
+                |r| r.u64_tuple_general::<2>(),
+            );
+            same(
+                text,
+                true,
+                |r| r.u64_tuple::<3>(),
+                |r| r.u64_tuple_general::<3>(),
+            );
+        };
+        let alphabet = [b'[', b']', b',', b'0', b'7', b' ', b'-'];
+        let mut texts = vec![Vec::new()];
+        for _ in 0..6 {
+            let longer: Vec<Vec<u8>> = texts
+                .iter()
+                .filter(|t| t.len() == texts.last().map_or(0, Vec::len))
+                .flat_map(|t| {
+                    alphabet.iter().map(move |&c| {
+                        let mut t = t.clone();
+                        t.push(c);
+                        t
+                    })
+                })
+                .collect();
+            texts.extend(longer);
+        }
+        for text in &texts {
+            check(std::str::from_utf8(text).unwrap());
+        }
+        // Long numbers, up to and past the 19-digit limit.
+        let max = u64::MAX.to_string();
+        for n in [
+            "1234567".to_string(),
+            "12345678".to_string(),
+            "123456789".to_string(),
+            "00000000".to_string(),
+            "01234567".to_string(),
+            "1234567890123456".to_string(),
+            "12345678901234567".to_string(),
+            "9".repeat(19),
+            format!("1{}", "0".repeat(19)),
+            max.clone(),
+            format!("{}6", &max[..19]),
+            "9".repeat(21),
+        ] {
+            for text in [
+                format!("[{n}]"),
+                format!("[{n}"),
+                format!("[1,{n}]"),
+                format!("[{n},{n}]"),
+                format!("[{n},2,3]"),
+                format!("[{n} ]"),
+                format!("[{n}x]"),
+                format!("[{n}.5]"),
+                format!("[{}:{}]", &n[..n.len() / 2], &n[n.len() / 2..]),
+            ] {
+                check(&text);
+            }
+        }
+        let mut r = Reader::new("[18446744073709551615,12345678901234567,0,90000000]");
+        assert_eq!(
+            r.u64_array(),
+            Ok(vec![u64::MAX, 12_345_678_901_234_567, 0, 90_000_000])
+        );
     }
 
     #[test]

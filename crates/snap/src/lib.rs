@@ -35,43 +35,13 @@ pub mod json;
 pub use codec::{decode_engine_state, encode_engine_state, state_hash};
 pub use file::{read_snapshot, write_snapshot, SnapError, Snapshot, SNAP_SCHEMA_VERSION};
 
-/// 64-bit FNV-1a, the workspace's content-hash function (also used by the
-/// benchmark harness's run cache, which re-exports this).
+/// 64-bit FNV-1a, the workspace's content-hash function (also the
+/// benchmark harness's record hash and per-case seed, which re-export
+/// this).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Streaming 64-bit FNV-1a: feeding bytes in pieces gives the same hash
-/// as [`fnv1a`] over their concatenation, without building it.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// The empty-input state (the FNV offset basis).
-    pub fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorb `bytes`.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The hash of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a::new()
-    }
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -84,14 +54,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let mut h = Fnv1a::new();
-        h.write(b"foo");
-        h.write(b"");
-        h.write(b"bar");
-        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 }
