@@ -1,8 +1,9 @@
-//! Fast-forward companion bench: the quiet-cycle skip in the cycle-level
-//! core vs the per-cycle reference path, on the workload regimes the
-//! `mtb bench` report sweeps. Latency-bound (serialized pointer chases)
-//! is where skipping pays; frontend-bound decodes every cycle and bounds
-//! the fast path's bookkeeping overhead.
+//! Fast-forward companion bench: the cycle-level core's hot engine,
+//! which skips quiet stretches in closed form, vs the per-cycle
+//! reference path, on the workload regimes the `mtb bench` report
+//! sweeps. Latency-bound (serialized pointer chases) is where skipping
+//! pays; frontend-bound decodes every cycle and bounds the fast path's
+//! bookkeeping overhead.
 //!
 //! Two companion groups probe the decode-bound hot engine specifically:
 //! `steady` drives both contexts frontend-bound across every grant-table

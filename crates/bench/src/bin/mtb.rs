@@ -171,6 +171,7 @@ fn main() -> ExitCode {
 
 /// Run subcommand `name`; an `Err` is a usage error.
 fn dispatch(name: &str, args: &Args) -> Result<ExitCode, String> {
+    SweepRunner::install_global(cli::sweep_options(args)?)?;
     match name {
         "run" => cmd_run(args),
         "tables" => experiments::run_tables(args.positional(), args.flag("gantt"))
@@ -494,17 +495,25 @@ fn ci_build(app: &str, case_name: &str, cycle: bool) -> Result<(Vec<Program>, Ca
     )
 }
 
+/// `MTB_JOBS` as the global permit budget reads it
+/// ([`mtb_pool::parse_jobs`]), with `default` when it is unset: 0 means
+/// 1, and 0 or a value that is not a number warns on stderr.
+fn env_jobs(default: usize) -> usize {
+    let raw = std::env::var("MTB_JOBS").ok();
+    let (jobs, warning) = mtb_pool::parse_jobs(raw.as_deref(), default);
+    if let Some(w) = warning {
+        eprintln!("mtb: {w}");
+    }
+    jobs
+}
+
 fn ci_run<'a>(
     programs: &'a [Program],
     case: &Case,
     stepping: Stepping,
     cycle: bool,
 ) -> StaticRun<'a> {
-    let threads = std::env::var("MTB_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
+    let threads = env_jobs(1);
     let mut run = StaticRun::new(programs, case.placement.clone())
         .with_priorities(case.priorities.clone())
         .with_stepping(stepping)
@@ -721,11 +730,10 @@ fn cmd_table_dynamic(args: &Args) -> Result<ExitCode, String> {
     ov.scale = ov
         .scale
         .or(Some(if args.flag("smoke") { 1e-3 } else { 1.0 }));
-    let jobs = args
-        .get::<usize>("jobs")?
-        .or_else(|| std::env::var("MTB_JOBS").ok()?.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
+    let jobs = match args.get::<usize>("jobs")? {
+        Some(n) => n.max(1),
+        None => env_jobs(4),
+    };
     let cfg = mtb_core::ControllerConfig::default();
 
     let rows = match td::run_report(ov, &cfg, jobs) {

@@ -2,6 +2,7 @@
 //! parser every subcommand goes through, and app/case resolution,
 //! factored out so they can be unit-tested.
 
+use crate::harness::SweepOptions;
 use mtb_core::paper_cases::{self, Case};
 use mtb_core::policy::PrioritySetting;
 use mtb_mpisim::program::Program;
@@ -25,9 +26,9 @@ pub struct Spec {
     pub positionals: usize,
 }
 
-/// Harness options every subcommand accepts:
-/// [`crate::harness::SweepOptions::from_args`] reads them from the process
-/// arguments, whatever the subcommand.
+/// Harness options every subcommand accepts; [`sweep_options`] turns
+/// them into the options of the process-wide sweep runner, whatever the
+/// subcommand.
 const HARNESS_OPTIONS: &[&str] = &["jobs", "checkpoint-every"];
 const HARNESS_FLAGS: &[&str] = &["no-cache"];
 
@@ -158,6 +159,20 @@ pub fn parse(spec: &Spec, args: &[String]) -> Result<Args, ArgError> {
     out.get::<usize>("jobs").map_err(invalid)?;
     out.get::<u64>("checkpoint-every").map_err(invalid)?;
     Ok(out)
+}
+
+/// The sweep runner's options under `args`' harness options, over
+/// [`SweepOptions::default`]: `--jobs N` is the job count (0 means 1),
+/// `--no-cache` bypasses the record cache, and `--checkpoint-every N` is
+/// the checkpoint interval in engine events (0 disables checkpoints).
+pub fn sweep_options(args: &Args) -> Result<SweepOptions, String> {
+    let mut opts = SweepOptions::default();
+    opts.jobs = args.get::<usize>("jobs")?.unwrap_or(opts.jobs).max(1);
+    opts.cache = !args.flag("no-cache");
+    if let Some(n) = args.get::<u64>("checkpoint-every")? {
+        opts.checkpoint_every = (n > 0).then_some(n);
+    }
+    Ok(opts)
 }
 
 /// Workload overrides shared by the CLI paths.
@@ -369,6 +384,40 @@ mod tests {
         }
         let a = parse_as("suggest", &["--scale=1e-3"]).unwrap();
         assert_eq!(AppOverrides::from_args(&a).unwrap().scale, Some(1e-3));
+    }
+
+    #[test]
+    fn sweep_options_parse_jobs_and_no_cache() {
+        let o = |v: &[&str]| sweep_options(&parse_as("run", v).unwrap()).unwrap();
+        let a = o(&["--jobs", "3", "--no-cache", "--app", "btmz"]);
+        assert_eq!(a.jobs, 3);
+        assert!(!a.cache);
+        let a = o(&["--jobs=2"]);
+        assert_eq!(a.jobs, 2);
+        assert!(a.cache);
+        assert_eq!(
+            o(&["--jobs", "0"]).jobs,
+            1,
+            "job count is clamped to at least 1"
+        );
+        assert_eq!(o(&[]).jobs, SweepOptions::default().jobs.max(1));
+        // A malformed value is a usage error, never a silent default.
+        assert!(invalid(parse_as("run", &["--jobs", "x"])).contains("--jobs"));
+    }
+
+    #[test]
+    fn sweep_options_parse_checkpoint_every() {
+        let o = |v: &[&str]| sweep_options(&parse_as("tables", v).unwrap()).unwrap();
+        assert_eq!(
+            o(&["--checkpoint-every", "500"]).checkpoint_every,
+            Some(500)
+        );
+        assert_eq!(o(&["--checkpoint-every=32"]).checkpoint_every, Some(32));
+        assert_eq!(
+            o(&["--checkpoint-every", "0"]).checkpoint_every,
+            None,
+            "0 disables checkpointing"
+        );
     }
 
     #[test]

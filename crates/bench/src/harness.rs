@@ -45,8 +45,9 @@
 //! [`mtb_snap::json::Reader`] ([`RunRecord::from_json`]), which accepts
 //! exactly that order and reads its integer arrays on the reader's
 //! compact fast path. Anything else — a truncation, a reordered key, a
-//! bad number, a timeline whose intervals are empty or not contiguous —
-//! is an `Err`, and the harness deletes the file and re-simulates. A
+//! bad number, a timeline whose intervals are empty or not contiguous, a
+//! `compute_cycles` or `sync_cycles` entry its timeline contradicts — is
+//! an `Err`, and the harness deletes the file and re-simulates. A
 //! record from another schema is recognized from its leading `schema`
 //! field alone.
 
@@ -335,11 +336,9 @@ impl KeyHasher {
             topology,
             wait_policy,
             stepping,
-            // Results are bit-identical at every thread count, with or
-            // without checkpoints and under either segmentation, so none
-            // of these enter the key.
+            // Results are bit-identical at every thread count and under
+            // either segmentation, so neither enters the key.
             threads: _,
-            checkpoint_every: _,
             segmentation: _,
         } = run;
         self.debug(placement);
@@ -728,8 +727,11 @@ impl RunRecord {
     /// Parse a record back from JSON text in one pass, in the field order
     /// [`RunRecord::to_json`] writes. Any other shape is an `Err`, and so
     /// is a timeline whose intervals are empty, overlap or leave a gap
-    /// (so [`RunRecord::to_run_result`] never meets one) and a per-rank
-    /// vector without one entry per timeline.
+    /// (so [`RunRecord::to_run_result`] never meets one), a per-rank
+    /// vector without one entry per timeline, and a `compute_cycles` or
+    /// `sync_cycles` entry that differs from its timeline's useful or
+    /// waiting time (the values [`RunResult`] recomputes from the
+    /// timelines).
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
         let mut r = Reader::new(text);
         r.begin_object()?;
@@ -759,6 +761,8 @@ impl RunRecord {
         let notes = r.string_array()?;
         r.field("timelines")?;
         let mut timelines = Vec::new();
+        // Per timeline: its useful and its waiting time.
+        let mut state_time: Vec<[u64; 2]> = Vec::new();
         r.begin_array()?;
         while r.next_item()? {
             r.begin_object()?;
@@ -768,6 +772,7 @@ impl RunRecord {
             let label = r.string()?;
             r.field("intervals")?;
             let mut intervals: Vec<(u64, u64, u8)> = Vec::new();
+            let mut time = [0u64; 2];
             r.begin_array()?;
             while r.next_item()? {
                 let [start, end, state] = r.u64_tuple()?;
@@ -789,9 +794,13 @@ impl RunRecord {
                         r.position()
                     ));
                 }
+                let s = ProcState::ALL[state as usize];
+                time[0] += if s.is_useful() { end - start } else { 0 };
+                time[1] += if s.is_waiting() { end - start } else { 0 };
                 intervals.push((start, end, state as u8));
             }
             r.end_object()?;
+            state_time.push(time);
             timelines.push(TimelineRecord {
                 pid,
                 label,
@@ -829,6 +838,21 @@ impl RunRecord {
                     v.len(),
                     timelines.len()
                 ));
+            }
+        }
+        // Both are read off the timelines, so a record whose entries say
+        // otherwise contradicts itself.
+        for (rank, time) in state_time.iter().enumerate() {
+            for (key, v, t) in [
+                ("compute_cycles", &compute_cycles, time[0]),
+                ("sync_cycles", &sync_cycles, time[1]),
+            ] {
+                if v[rank] != t {
+                    return Err(format!(
+                        "{key}[{rank}] is {} but timeline {rank} holds {t} cycles",
+                        v[rank]
+                    ));
+                }
             }
         }
         Ok(RunRecord {
@@ -869,7 +893,9 @@ fn decode_current(text: &str) -> Result<RunRecord, Reject> {
     }
 }
 
-/// Harness configuration, normally parsed from the process arguments.
+/// Harness configuration. `mtb` builds it from its parsed arguments
+/// (`cli::sweep_options`) and installs it with
+/// [`SweepRunner::install_global`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Target worker threads for [`SweepRunner::run_sweep`]. `--jobs N`
@@ -924,45 +950,6 @@ impl Default for SweepOptions {
     }
 }
 
-impl SweepOptions {
-    /// Parse `--jobs N` (or `--jobs=N`) and `--no-cache` from the process
-    /// arguments; the subcommand's own options are `mtb`'s to parse
-    /// ([`crate::cli::parse`] accepts these on every subcommand).
-    pub fn from_env() -> SweepOptions {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// [`SweepOptions::from_env`] over an explicit argument list.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> SweepOptions {
-        let mut opts = SweepOptions::default();
-        let mut args = args.into_iter().peekable();
-        while let Some(a) = args.next() {
-            if a == "--no-cache" {
-                opts.cache = false;
-            } else if a == "--jobs" {
-                if let Some(n) = args.peek().and_then(|v| v.parse().ok()) {
-                    opts.jobs = n;
-                    args.next();
-                }
-            } else if let Some(n) = a.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-                opts.jobs = n;
-            } else if a == "--checkpoint-every" {
-                if let Some(n) = args.peek().and_then(|v| v.parse::<u64>().ok()) {
-                    opts.checkpoint_every = (n > 0).then_some(n);
-                    args.next();
-                }
-            } else if let Some(n) = a
-                .strip_prefix("--checkpoint-every=")
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                opts.checkpoint_every = (n > 0).then_some(n);
-            }
-        }
-        opts.jobs = opts.jobs.max(1);
-        opts
-    }
-}
-
 /// Cumulative harness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
@@ -993,6 +980,8 @@ impl SweepStats {
     }
 }
 
+static GLOBAL_RUNNER: OnceLock<SweepRunner> = OnceLock::new();
+
 /// Runs sweeps of independent case simulations over a worker pool,
 /// caching each result as a [`RunRecord`] on disk.
 pub struct SweepRunner {
@@ -1009,16 +998,24 @@ impl SweepRunner {
         }
     }
 
-    /// The process-wide runner, configured from the command line on
-    /// first use. `--jobs N` re-targets the global permit budget, so the
-    /// flag caps sweep workers and intra-run stepping threads *combined*.
+    /// Make `opts` the options of the process-wide runner, before
+    /// anything calls [`SweepRunner::global`]. `opts.jobs` re-targets
+    /// `opts.budget` (the global permit budget by default), so `--jobs N`
+    /// caps sweep workers and intra-run stepping threads *combined*.
+    /// Fails, changing nothing, once the runner exists.
+    pub fn install_global(opts: SweepOptions) -> Result<(), String> {
+        let (budget, jobs) = (std::sync::Arc::clone(&opts.budget), opts.jobs);
+        GLOBAL_RUNNER
+            .set(SweepRunner::new(opts))
+            .map_err(|_| "the process-wide sweep runner is already in use".to_string())?;
+        budget.set_total(jobs);
+        Ok(())
+    }
+
+    /// The process-wide runner: the one [`SweepRunner::install_global`]
+    /// installed, else one with [`SweepOptions::default`].
     pub fn global() -> &'static SweepRunner {
-        static GLOBAL: OnceLock<SweepRunner> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let opts = SweepOptions::from_env();
-            opts.budget.set_total(opts.jobs);
-            SweepRunner::new(opts)
-        })
+        GLOBAL_RUNNER.get_or_init(|| SweepRunner::new(SweepOptions::default()))
     }
 
     /// The options this runner was built with.
@@ -1172,12 +1169,7 @@ impl SweepRunner {
             path: path.clone(),
             hash,
         };
-        let result = execute_chunked(
-            run.with_checkpoint_every(every),
-            resume.as_ref(),
-            &mut NullObserver,
-            &mut sink,
-        )?;
+        let result = execute_chunked(run, every, resume.as_ref(), &mut NullObserver, &mut sink)?;
         let _ = std::fs::remove_file(&path);
         Ok(result)
     }
@@ -1540,22 +1532,6 @@ mod tests {
     }
 
     #[test]
-    fn options_parse_jobs_and_no_cache() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = SweepOptions::from_args(args(&["--jobs", "3", "--no-cache", "--app", "btmz"]));
-        assert_eq!(o.jobs, 3);
-        assert!(!o.cache);
-        let o = SweepOptions::from_args(args(&["--jobs=2"]));
-        assert_eq!(o.jobs, 2);
-        assert!(o.cache);
-        let o = SweepOptions::from_args(args(&["--jobs", "0"]));
-        assert_eq!(o.jobs, 1, "job count is clamped to at least 1");
-        // Malformed --jobs values fall back to the default.
-        let d = SweepOptions::default();
-        assert_eq!(SweepOptions::from_args(args(&["--jobs", "x"])).jobs, d.jobs);
-    }
-
-    #[test]
     fn corrupt_records_are_discarded_and_resimulated() {
         let runner = temp_runner(1, true);
         let cfg = MetBenchConfig::tiny();
@@ -1643,17 +1619,6 @@ mod tests {
         assert_eq!(recovered, clean);
         assert!(!runner.checkpoint_path(hash).exists());
         let _ = std::fs::remove_dir_all(&runner.options().dir);
-    }
-
-    #[test]
-    fn options_parse_checkpoint_every() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = SweepOptions::from_args(args(&["--checkpoint-every", "500"]));
-        assert_eq!(o.checkpoint_every, Some(500));
-        let o = SweepOptions::from_args(args(&["--checkpoint-every=32"]));
-        assert_eq!(o.checkpoint_every, Some(32));
-        let o = SweepOptions::from_args(args(&["--checkpoint-every", "0"]));
-        assert_eq!(o.checkpoint_every, None, "0 disables checkpointing");
     }
 
     #[test]
@@ -1901,7 +1866,8 @@ mod tests {
     }
 
     /// A one-timeline record whose intervals are `[100,200)` in state 0
-    /// and `[200,300)` in state 1.
+    /// and `[200,300)` in state 1 (init, then compute: 200 useful cycles
+    /// and none waiting).
     fn two_interval_record() -> RunRecord {
         RunRecord {
             schema: SCHEMA_VERSION,
@@ -1909,8 +1875,8 @@ mod tests {
             priorities: Vec::new(),
             placement: Vec::new(),
             wall_secs: 0.5,
-            compute_cycles: vec![100],
-            sync_cycles: vec![100],
+            compute_cycles: vec![200],
+            sync_cycles: vec![0],
             retired: vec![7],
             interrupt_cycles: vec![0],
             busy_cycles: vec![100],
@@ -1981,6 +1947,31 @@ mod tests {
         assert_eq!((ivs.len(), ivs[0].start, ivs[0].end), (1, 100, 300));
     }
 
+    /// `compute_cycles` and `sync_cycles` are the timelines' useful and
+    /// waiting time; a record whose entries disagree with its own
+    /// timelines used to be served, since `to_run_result` recomputes both.
+    #[test]
+    fn from_json_rejects_compute_and_sync_cycles_that_contradict_the_timelines() {
+        let text = two_interval_record().to_json();
+        assert!(RunRecord::from_json(&text).is_ok());
+        for (intact, bad) in [
+            ("\"compute_cycles\":[200]", "\"compute_cycles\":[201]"),
+            ("\"sync_cycles\":[0]", "\"sync_cycles\":[1]"),
+        ] {
+            let damaged = text.replacen(intact, bad, 1);
+            assert_ne!(damaged, text);
+            let err = RunRecord::from_json(&damaged).unwrap_err();
+            assert!(err.contains("timeline 0 holds"), "{err}");
+        }
+        // A waiting interval moves time from one sum to the other.
+        let synced = text.replace("[200,300,1]", "[200,300,2]");
+        assert!(RunRecord::from_json(&synced).is_err());
+        let fixed = synced
+            .replace("\"compute_cycles\":[200]", "\"compute_cycles\":[100]")
+            .replace("\"sync_cycles\":[0]", "\"sync_cycles\":[100]");
+        assert!(RunRecord::from_json(&fixed).is_ok());
+    }
+
     #[test]
     fn records_with_broken_timelines_are_resimulated() {
         let runner = temp_runner(1, true);
@@ -1994,21 +1985,31 @@ mod tests {
         let record = RunRecord::from_json(&text).unwrap();
 
         // One changed number each: the second interval of the first
-        // timeline starts too early, or ends before it starts.
+        // timeline starts too early, or ends before it starts; or the
+        // last digit of the first rank's `compute_cycles` or
+        // `sync_cycles` entry changes, which its timeline contradicts.
         let (start, end, state) = record.timelines[0].intervals[1];
         let intact = format!("[{start},{end},{state}]");
-        for bad in [
-            format!("[{},{end},{state}]", start - 1),
-            format!("[{start},{},{state}]", start - 1),
-        ] {
-            std::fs::write(&path, text.replacen(&intact, &bad, 1)).unwrap();
+        let mut damaged = vec![
+            text.replacen(&intact, &format!("[{},{end},{state}]", start - 1), 1),
+            text.replacen(&intact, &format!("[{start},{},{state}]", start - 1), 1),
+        ];
+        for key in ["compute_cycles", "sync_cycles"] {
+            let at = text.find(&format!("\"{key}\":[")).unwrap() + key.len() + 4;
+            let last = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap() - 1;
+            let flipped = if &text[last..=last] == "9" { "8" } else { "9" };
+            damaged.push(format!("{}{flipped}{}", &text[..last], &text[last + 1..]));
+        }
+        for bad in damaged {
+            assert_ne!(bad, text);
+            std::fs::write(&path, &bad).unwrap();
             assert_eq!(runner.run_case(&progs, &case), clean);
-            assert_eq!(runner.stats().cache_hits, 0, "{bad} must not be served");
+            assert_eq!(runner.stats().cache_hits, 0, "a damaged record was served");
             let restored = RunRecord::from_json(&std::fs::read_to_string(&path).unwrap());
             assert_eq!(
-                restored.unwrap().timelines,
-                record.timelines,
-                "the fresh record replaces the broken one"
+                restored.unwrap().to_run_result(),
+                clean,
+                "the fresh record replaces the damaged one"
             );
         }
         let _ = std::fs::remove_dir_all(&runner.options().dir);

@@ -358,14 +358,6 @@ pub fn validate_app(app: &str, ov: AppOverrides) -> Result<AppValidation, String
     })
 }
 
-/// Validate every app in [`SUGGEST_APPS`].
-pub fn validate_all(ov: AppOverrides) -> Result<Vec<AppValidation>, String> {
-    SUGGEST_APPS
-        .iter()
-        .map(|app| validate_app(app, ov))
-        .collect()
-}
-
 /// Render a suggestion for humans.
 pub fn suggestion_to_text(s: &Suggestion, top: usize) -> String {
     let mut out = format!(

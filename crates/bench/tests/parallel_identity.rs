@@ -177,8 +177,8 @@ fn edge_case(placement: &[CtxAddr], prios: &[PrioritySetting]) -> Case {
     }
 }
 
-/// Epoch bound exactly on a checkpoint boundary: with
-/// `checkpoint_every(1)` every single engine event window ends at a
+/// Epoch bound exactly on a checkpoint boundary: with a checkpoint
+/// interval of 1 every single engine event window ends at a
 /// checkpoint, so each epoch's merge point coincides with a forced
 /// checkpoint merge. The chunked run must equal the straight run at
 /// every thread count.
@@ -200,13 +200,8 @@ fn epoch_bound_on_checkpoint_boundary_identical_across_jobs() {
     };
     let straight = record_hash(&case, &execute(mk(1)).expect("straight run"));
     for jobs in JOBS {
-        let chunked = execute_chunked(
-            mk(jobs).with_checkpoint_every(1),
-            None,
-            &mut NullObserver,
-            &mut NoCheckpoint,
-        )
-        .expect("chunked run");
+        let chunked = execute_chunked(mk(jobs), 1, None, &mut NullObserver, &mut NoCheckpoint)
+            .expect("chunked run");
         assert_eq!(
             record_hash(&case, &chunked),
             straight,

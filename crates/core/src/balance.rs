@@ -95,11 +95,6 @@ pub struct StaticRun<'a> {
     /// bit-identical at any setting, so this is deliberately excluded
     /// from config/record hashing.
     pub threads: usize,
-    /// Offer a checkpoint to the sink every N engine events (`None`
-    /// disables checkpointing). Pure persistence knob: the event
-    /// trajectory is identical whether or not checkpoints are taken, so
-    /// this is excluded from config/record hashing just like `threads`.
-    pub checkpoint_every: Option<u64>,
     /// How the machine segments epochs at noise boundaries (the event
     /// calendar by default). Results are bit-identical under either
     /// strategy, so this is excluded from config/record hashing just
@@ -123,7 +118,6 @@ impl<'a> StaticRun<'a> {
             wait_policy: WaitPolicy::default(),
             stepping: Stepping::default(),
             threads: 1,
-            checkpoint_every: None,
             segmentation: Segmentation::default(),
         }
     }
@@ -186,14 +180,6 @@ impl<'a> StaticRun<'a> {
     /// wall-clock knob: results are bit-identical at any value.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Offer a checkpoint to the sink every `n` engine events when run
-    /// through [`execute_chunked`]. Does not change results — only how
-    /// often the current state is offered for persistence.
-    pub fn with_checkpoint_every(mut self, n: u64) -> Self {
-        self.checkpoint_every = Some(n.max(1));
         self
     }
 
@@ -311,36 +297,30 @@ impl CheckpointSink for NoCheckpoint {
     fn on_checkpoint(&mut self, _events: u64, _engine: &Engine) {}
 }
 
-/// Execute a run in event chunks, offering the paused engine to `sink`
-/// every `checkpoint_every` events, optionally resuming from a
-/// previously captured state.
+/// Execute a run in chunks of `every` engine events (at least 1),
+/// offering the paused engine to `sink` after each, optionally resuming
+/// from a previously captured state.
 ///
 /// Chunked stepping visits bit-for-bit the same states as a straight
 /// run, so the result is identical to [`execute_with`] for any chunk
-/// size, any resume point, and any sink. Under epoch-based sharded
+/// size, any resume point, and any sink: the interval is a persistence
+/// knob, outside every config and record hash. Under epoch-based sharded
 /// stepping every checkpoint boundary is also a forced merge point —
 /// shards never hold private state across a boundary — so a snapshot
 /// taken here restores identically at any thread count.
 pub fn execute_chunked(
     run: StaticRun<'_>,
+    every: u64,
     resume: Option<&EngineState>,
     observer: &mut dyn Observer,
     sink: &mut dyn CheckpointSink,
 ) -> Result<RunResult, BalanceError> {
-    let every = run.checkpoint_every;
     let mut engine = prepare(&run)?;
     if let Some(state) = resume {
         engine.restore_state(state)?;
     }
-    let chunk = every.unwrap_or(u64::MAX).max(1);
-    loop {
-        let done = engine.step_events(observer, chunk)?;
-        if done {
-            break;
-        }
-        if every.is_some() {
-            sink.on_checkpoint(engine.events(), &engine);
-        }
+    while !engine.step_events(observer, every.max(1))? {
+        sink.on_checkpoint(engine.events(), &engine);
     }
     Ok(engine.into_result())
 }

@@ -777,13 +777,6 @@ impl TwoLevelController {
         TwoLevelController::new(placement, ControllerConfig::default())
     }
 
-    /// Install a static progress-expectation table (level 2 then weighs
-    /// observed compute times by each rank's plan deficit).
-    pub fn with_model(mut self, model: ProgressModel) -> TwoLevelController {
-        self.model = Some(model);
-        self
-    }
-
     /// Derive both the progress model and the per-rank workload profiles
     /// from the programs via the static analyzer, so level 2 tunes pairs
     /// through the same Table II/III decode-share model the engine uses.

@@ -182,11 +182,6 @@ impl SyncEpochs {
         self.next[rank]
     }
 
-    /// Number of epochs seen so far.
-    pub fn num_epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
     /// Inspect an epoch.
     pub fn epoch(&self, idx: usize) -> Option<&EpochState> {
         self.epochs.get(idx)

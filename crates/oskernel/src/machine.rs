@@ -1355,8 +1355,8 @@ impl Shard<'_> {
     /// mode, so fusing such segments changes no observable bit. A
     /// multi-core (shared-L2) domain keeps exact cut parity with the
     /// reference instead: the cross-core interleaving of L2 accesses is
-    /// defined by the advance-window granularity (see
-    /// `mtb_smtsim::chip`), so its windows must not be fused.
+    /// defined by the advance-window granularity (the contract on
+    /// `mtb_smtsim::core::SharedCache`), so its windows must not be fused.
     fn advance_epoch_calendar(&mut self, start: Cycles, end: Cycles) {
         // Borrow the calendar slots beside `self` for the walk (moving the
         // slice reference out is free; the calendars stay in place).

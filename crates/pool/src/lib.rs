@@ -129,11 +129,12 @@ impl Budget {
 /// Resolve an `MTB_JOBS`-style override into a budget total.
 ///
 /// Returns `(total, warning)`. An unset or empty variable silently uses
-/// `default` (the machine's parallelism). `"0"` is treated as an explicit
-/// request for sequential execution — total 1 — with a warning, since `0`
-/// is not a thread count. Anything unparsable falls back to `default`
-/// with a warning; silently ignoring a typo here used to mean a CI knob
-/// like `MTB_JOBS=fourx` quietly ran at full parallelism.
+/// `default` (the machine's parallelism, for the global budget). `"0"` is
+/// treated as an explicit request for sequential execution — total 1 —
+/// with a warning, since `0` is not a thread count. Anything unparsable
+/// falls back to `default` with a warning; silently ignoring a typo here
+/// used to mean a CI knob like `MTB_JOBS=fourx` quietly ran at full
+/// parallelism.
 pub fn parse_jobs(raw: Option<&str>, default: usize) -> (usize, Option<String>) {
     let Some(raw) = raw else {
         return (default, None);
@@ -151,7 +152,7 @@ pub fn parse_jobs(raw: Option<&str>, default: usize) -> (usize, Option<String>) 
         Err(_) => (
             default,
             Some(format!(
-                "MTB_JOBS={raw:?} is not a number; falling back to available parallelism ({default})"
+                "MTB_JOBS={raw:?} is not a number; falling back to the default ({default})"
             )),
         ),
     }

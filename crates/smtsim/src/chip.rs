@@ -1,193 +1,22 @@
-//! The dual-core chip.
+//! The cores of the simulated machine.
 //!
 //! A POWER5 chip packages two SMT cores behind a shared L2 (the paper's
-//! OpenPower 710 has one such chip, giving four hardware contexts). The
-//! chip is the unit the OS machine layer schedules onto.
-//!
-//! Larger configurations ([`ChipConfig::cores`] > 2) model a board of
-//! such chips: cores are grouped into L2 domains of
-//! [`ChipConfig::cores_per_l2`] cores each. Domains are independent, so
-//! [`Chip::advance_all`] can run them as one epoch on an
-//! [`mtb_pool::ShardedRunner`] (persistent shard-pinned workers, one
-//! mailbox post per call); cores *inside* a domain always advance
-//! sequentially in index order, which keeps every statistic
-//! bit-identical at any thread count.
-//!
-//! The shared L2 is also what makes the cores' fast-forward path safe
-//! at chip level: both the per-cycle reference and the busy-window hot
-//! engine ([`crate::hot`]) take the domain's L2 mutex per access, and
-//! the cross-core interleaving of those accesses is fixed by the
-//! advance-window granularity — core `i` completes its whole window
-//! before core `i + 1` starts — not by how either core steps inside
-//! the window. A fast-forwarded core therefore presents its L2-sharing
-//! neighbours exactly the cache state the reference would, which is
-//! what lets `fast_forward` stay a pure speed knob even when domains
-//! contend for L2 capacity (enforced by the differential test below).
+//! OpenPower 710 has one such chip, giving four hardware contexts);
+//! larger configurations model a board of such chips, or a cluster node
+//! of single-core chips. This module builds those cores, at either
+//! fidelity, for the machine layer: [`build_cores_grouped`] gives every
+//! `cores_per_l2` consecutive cycle-level cores one [`SharedCache`].
+//! The machine (`oskernel::Machine`) groups cores into conflict domains
+//! by [`CoreModel::share_group`] and steps the domains as shards; the
+//! contract that keeps a shared L2 exact under that stepping is stated
+//! on [`SharedCache`].
 
 use std::sync::{Arc, Mutex};
-
-use mtb_pool::ShardedRunner;
 
 use crate::cache::Cache;
 use crate::core::{CoreConfig, SharedCache, SmtCore};
 use crate::model::CoreModel;
 use crate::perfmodel::{MesoConfig, MesoCore};
-use crate::Cycles;
-
-/// Chip-level configuration.
-#[derive(Debug, Clone)]
-pub struct ChipConfig {
-    /// Number of cores (the POWER5 has 2).
-    pub cores: usize,
-    /// Cores sharing one L2 (the POWER5 chip pairs 2; board-level
-    /// configurations keep the pairing per physical chip).
-    pub cores_per_l2: usize,
-    /// Worker threads for [`Chip::advance_all`] (1 = sequential). Extra
-    /// threads are drawn from the global permit budget and sharded over
-    /// L2 domains; results are identical at any setting.
-    pub threads: usize,
-    /// Per-core configuration.
-    pub core: CoreConfig,
-}
-
-impl Default for ChipConfig {
-    fn default() -> Self {
-        ChipConfig {
-            cores: 2,
-            cores_per_l2: 2,
-            threads: 1,
-            core: CoreConfig::default(),
-        }
-    }
-}
-
-/// A chip (or board of chips) of cycle-level cores, one shared L2 per
-/// [`ChipConfig::cores_per_l2`]-core domain.
-pub struct Chip {
-    cores: Vec<SmtCore>,
-    l2s: Vec<SharedCache>,
-    cores_per_l2: usize,
-    runner: Option<ShardedRunner>,
-    /// Reused return buffer for [`Chip::advance_all`] (hot path: one call
-    /// per engine quantum — no per-call allocation).
-    retired_scratch: Vec<[u64; 2]>,
-}
-
-impl Chip {
-    /// Build a chip from a configuration.
-    pub fn new(cfg: ChipConfig) -> Chip {
-        let group = cfg.cores_per_l2.max(1);
-        let mut l2s: Vec<SharedCache> = Vec::new();
-        let cores: Vec<SmtCore> = (0..cfg.cores)
-            .map(|i| {
-                if i % group == 0 {
-                    l2s.push(Arc::new(Mutex::new(Cache::new(cfg.core.l2))));
-                }
-                let l2 = l2s.last().expect("domain cache exists");
-                SmtCore::with_l2(cfg.core.clone(), i as u8, Arc::clone(l2))
-            })
-            .collect();
-        let retired_scratch = Vec::with_capacity(cores.len());
-        let runner = (cfg.threads > 1).then(|| ShardedRunner::new(cfg.threads));
-        Chip {
-            cores,
-            l2s,
-            cores_per_l2: group,
-            runner,
-            retired_scratch,
-        }
-    }
-
-    /// Attach (or detach) an epoch runner for [`Chip::advance_all`].
-    /// Results are identical with or without one; only wall-clock time
-    /// changes.
-    pub fn set_runner(&mut self, runner: Option<ShardedRunner>) {
-        self.runner = runner;
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Number of independent L2 domains.
-    pub fn num_l2_domains(&self) -> usize {
-        self.l2s.len()
-    }
-
-    /// Total hardware contexts (2 per core).
-    pub fn num_contexts(&self) -> usize {
-        self.cores.len() * 2
-    }
-
-    /// Immutable access to a core.
-    pub fn core(&self, i: usize) -> &SmtCore {
-        &self.cores[i]
-    }
-
-    /// Mutable access to a core.
-    pub fn core_mut(&mut self, i: usize) -> &mut SmtCore {
-        &mut self.cores[i]
-    }
-
-    /// Advance every core by `cycles` in lockstep; returns per-core retired
-    /// instruction pairs (borrowed from an internal scratch buffer that is
-    /// overwritten by the next call).
-    ///
-    /// With a runner attached, the call is one epoch: independent L2
-    /// domains step privately on shard-pinned workers and the caller
-    /// returns at the merge point. Each domain writes into its own
-    /// pre-sized slice of the scratch buffer, so the merge order — and
-    /// therefore every statistic and record hash — is fixed regardless of
-    /// worker count or schedule.
-    pub fn advance_all(&mut self, cycles: Cycles) -> &[[u64; 2]] {
-        let Chip {
-            cores,
-            retired_scratch,
-            cores_per_l2,
-            runner,
-            ..
-        } = self;
-        retired_scratch.clear();
-        retired_scratch.resize(cores.len(), [0, 0]);
-        match runner {
-            Some(runner) if runner.threads() > 1 && cores.len() > *cores_per_l2 => {
-                let shards: Vec<(&mut [SmtCore], &mut [[u64; 2]])> = cores
-                    .chunks_mut(*cores_per_l2)
-                    .zip(retired_scratch.chunks_mut(*cores_per_l2))
-                    .collect();
-                runner.run_epoch(shards, |_, (domain, out)| {
-                    for (core, slot) in domain.iter_mut().zip(out.iter_mut()) {
-                        *slot = core.advance(cycles);
-                    }
-                });
-            }
-            _ => {
-                for (core, slot) in cores.iter_mut().zip(retired_scratch.iter_mut()) {
-                    *slot = core.advance(cycles);
-                }
-            }
-        }
-        retired_scratch
-    }
-
-    /// (hits, misses) of the shared L2s so far, summed over domains.
-    pub fn l2_stats(&self) -> (u64, u64) {
-        self.l2s.iter().fold((0, 0), |(h, m), l2| {
-            let (dh, dm) = l2.lock().unwrap().stats();
-            (h + dh, m + dm)
-        })
-    }
-
-    /// Cross-core/context evictions in the shared L2s (interference
-    /// meter), summed over domains.
-    pub fn l2_cross_evictions(&self) -> u64 {
-        self.l2s
-            .iter()
-            .map(|l2| l2.lock().unwrap().cross_evictions())
-            .sum()
-    }
-}
 
 /// Core-model selection with full configuration.
 #[derive(Debug, Clone)]
@@ -204,31 +33,24 @@ impl Default for Fidelity {
     }
 }
 
-/// Build a set of boxed cores for the machine layer.
-///
-/// `cycle_accurate` selects [`SmtCore`] (slow, mechanistic) vs
-/// [`MesoCore`] (fast, calibrated) at default configurations; use
-/// [`build_cores_fidelity`] to configure the model.
+/// Build a set of boxed cores for the machine layer at default
+/// configurations: [`SmtCore`] (slow, mechanistic) when
+/// `cycle_accurate`, else [`MesoCore`] (fast, calibrated). Cycle-level
+/// cores share an L2 per 2-core chip (the POWER5 package); use
+/// [`build_cores_grouped`] to configure the model or the domain size.
 pub fn build_cores(n_cores: usize, cycle_accurate: bool) -> Vec<Box<dyn CoreModel>> {
     let f = if cycle_accurate {
         Fidelity::Cycle(CoreConfig::default())
     } else {
         Fidelity::Meso(MesoConfig::default())
     };
-    build_cores_fidelity(n_cores, &f)
+    build_cores_grouped(n_cores, &f, 2)
 }
 
-/// [`build_cores`] with explicit model configuration. Cycle-level cores
-/// share an L2 per 2-core chip (the POWER5 package); use
-/// [`build_cores_grouped`] for other domain sizes.
-pub fn build_cores_fidelity(n_cores: usize, fidelity: &Fidelity) -> Vec<Box<dyn CoreModel>> {
-    build_cores_grouped(n_cores, fidelity, 2)
-}
-
-/// [`build_cores_fidelity`] with an explicit L2-domain size: every
-/// `cores_per_l2` consecutive cycle-level cores share one L2 (a cluster
-/// node of single-core chips uses 1; the POWER5 package uses 2).
-/// Mesoscale cores carry no shared state and ignore the grouping.
+/// Build `n_cores` cores of `fidelity` in which every `cores_per_l2`
+/// consecutive cycle-level cores share one L2 (a cluster node of
+/// single-core chips uses 1; the POWER5 package uses 2). Mesoscale cores
+/// carry no shared state and ignore the grouping.
 pub fn build_cores_grouped(
     n_cores: usize,
     fidelity: &Fidelity,
@@ -260,86 +82,6 @@ mod tests {
     use super::*;
     use crate::inst::StreamSpec;
     use crate::model::{ThreadId, Workload};
-    use crate::priority::HwPriority;
-    use crate::stats::CtxStats;
-    use mtb_pool::Budget;
-
-    #[test]
-    fn default_chip_is_power5_shaped() {
-        let chip = Chip::new(ChipConfig::default());
-        assert_eq!(chip.num_cores(), 2);
-        assert_eq!(chip.num_contexts(), 4);
-        assert_eq!(chip.num_l2_domains(), 1);
-    }
-
-    #[test]
-    fn cores_progress_independently() {
-        let mut chip = Chip::new(ChipConfig::default());
-        chip.core_mut(0).assign(
-            ThreadId::A,
-            Workload::from_spec("w", StreamSpec::balanced(1)),
-        );
-        let out = chip.advance_all(5_000);
-        assert!(out[0][0] > 0, "core 0 ctx A retires");
-        assert_eq!(out[0][1], 0);
-        assert_eq!(out[1], [0, 0], "core 1 has no work");
-    }
-
-    #[test]
-    fn l2_is_shared_between_cores() {
-        let mut chip = Chip::new(ChipConfig::default());
-        // Two L2-resident streams on different cores.
-        chip.core_mut(0).assign(
-            ThreadId::A,
-            Workload::from_spec("w0", StreamSpec::l2_bound(1)),
-        );
-        chip.core_mut(1).assign(
-            ThreadId::A,
-            Workload::from_spec("w1", StreamSpec::l2_bound(2)),
-        );
-        chip.advance_all(20_000);
-        let (h, m) = chip.l2_stats();
-        assert!(h + m > 0, "both cores must reach the shared L2");
-    }
-
-    #[test]
-    fn cross_core_l2_interference_is_observable() {
-        // Two cores whose combined working sets overflow a (shrunken) L2
-        // evict each other's lines. The small L2 keeps the test fast; the
-        // default 1.875 MiB L2 shows the same effect over ~10^8 cycles.
-        let mut cfg = ChipConfig::default();
-        cfg.core.l2 = crate::cache::CacheConfig {
-            bytes: 64 << 10,
-            line_size: 128,
-            assoc: 8,
-            hit_latency: 13,
-        };
-        let mut chip = Chip::new(cfg);
-        let ws = 256 << 10;
-        let spec = |seed| StreamSpec {
-            fx: 2,
-            fp: 0,
-            ls: 7,
-            br: 1,
-            dep_dist: 8,
-            working_set: ws,
-            code_kb: 8,
-            seed,
-        };
-        chip.core_mut(0)
-            .assign(ThreadId::A, Workload::from_spec("w0", spec(1)));
-        chip.core_mut(1)
-            .assign(ThreadId::A, Workload::from_spec("w1", spec(2)));
-        for c in 0..2 {
-            chip.core_mut(c)
-                .set_priority(ThreadId::B, HwPriority::VERY_LOW);
-        }
-        chip.advance_all(60_000);
-        assert!(
-            chip.l2_cross_evictions() > 0,
-            "co-runners overflowing the shared L2 must interfere"
-        );
-    }
 
     #[test]
     fn build_cores_both_fidelities() {
@@ -368,129 +110,5 @@ mod tests {
         }
         let distinct: std::collections::BTreeSet<_> = groups.iter().flatten().collect();
         assert_eq!(distinct.len(), 4, "8 cores form 4 L2 domains");
-    }
-
-    /// Fast-forward is a pure speed knob even across a *shared* L2:
-    /// a chip whose cores contend for one (shrunken) L2 must produce
-    /// bit-identical per-context statistics, L2 hit/miss totals,
-    /// cross-core evictions and core snapshots whether its cores run
-    /// the per-cycle reference or the fast-forward path — including
-    /// window sizes that split the cores' steady decode stretches at
-    /// odd grant-period offsets.
-    #[test]
-    fn fast_forward_matches_reference_across_shared_l2() {
-        let run = |fast: bool| {
-            let mut cfg = ChipConfig::default();
-            cfg.core.fast_forward = fast;
-            cfg.core.l2 = crate::cache::CacheConfig {
-                bytes: 64 << 10,
-                line_size: 128,
-                assoc: 8,
-                hit_latency: 13,
-            };
-            let mut chip = Chip::new(cfg);
-            let ws = 128 << 10;
-            let heavy = |seed| StreamSpec {
-                fx: 2,
-                fp: 0,
-                ls: 7,
-                br: 1,
-                dep_dist: 8,
-                working_set: ws,
-                code_kb: 8,
-                seed,
-            };
-            chip.core_mut(0)
-                .assign(ThreadId::A, Workload::from_spec("w0", heavy(1)));
-            chip.core_mut(0).assign(
-                ThreadId::B,
-                Workload::from_spec("fe", StreamSpec::frontend_bound(3)),
-            );
-            chip.core_mut(1)
-                .assign(ThreadId::A, Workload::from_spec("w1", heavy(2)));
-            chip.core_mut(1)
-                .set_priority(ThreadId::A, HwPriority::MEDIUM_HIGH);
-            // Windows chosen to end mid grant period (64) and mid steady
-            // decode stretches.
-            let mut log = Vec::new();
-            for window in [1, 63, 129, 5_000, 7, 20_000] {
-                let retired = chip.advance_all(window).to_vec();
-                log.push(retired);
-            }
-            let snaps: Vec<_> = (0..2).map(|i| chip.core(i).save_state()).collect();
-            let stats: Vec<CtxStats> = (0..2)
-                .flat_map(|i| ThreadId::BOTH.map(|t| *chip.core(i).stats(t)))
-                .collect();
-            (
-                log,
-                snaps,
-                stats,
-                chip.l2_stats(),
-                chip.l2_cross_evictions(),
-            )
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert!(
-            reference.4 > 0,
-            "the scenario must actually exercise cross-core L2 contention"
-        );
-        assert_eq!(
-            fast, reference,
-            "fast-forward must be invisible across the shared L2"
-        );
-    }
-
-    /// An 8-core chip driven with and without epoch workers, in several
-    /// advance-window patterns: every statistic must be bit-identical.
-    #[test]
-    fn parallel_advance_all_is_bit_identical() {
-        let run = |threads: usize| -> Vec<(CtxStats, CtxStats, Vec<[u64; 2]>)> {
-            let mut cfg = ChipConfig {
-                cores: 8,
-                ..Default::default()
-            };
-            cfg.core.l2 = crate::cache::CacheConfig {
-                bytes: 128 << 10,
-                line_size: 128,
-                assoc: 8,
-                hit_latency: 13,
-            };
-            let mut chip = Chip::new(cfg);
-            // Workers must actually exist even on a loaded machine: draw
-            // from a private, roomy budget.
-            if threads > 1 {
-                chip.set_runner(Some(ShardedRunner::with_budget(
-                    threads,
-                    std::sync::Arc::new(Budget::new(16)),
-                )));
-            }
-            for i in 0..8 {
-                chip.core_mut(i).assign(
-                    ThreadId::A,
-                    Workload::from_spec("a", StreamSpec::balanced(i as u64 + 1)),
-                );
-                chip.core_mut(i).assign(
-                    ThreadId::B,
-                    Workload::from_spec("b", StreamSpec::pointer_chase(i as u64 + 100)),
-                );
-                chip.core_mut(i)
-                    .set_priority(ThreadId::A, HwPriority::new((i % 6 + 2) as u8).unwrap());
-            }
-            let mut log = Vec::new();
-            for window in [1, 63, 64, 1000, 7, 4096] {
-                let retired = chip.advance_all(window).to_vec();
-                log.push((
-                    *chip.core(0).stats(ThreadId::A),
-                    *chip.core(7).stats(ThreadId::B),
-                    retired,
-                ));
-            }
-            log
-        };
-        let base = run(1);
-        for t in [2, 4, 8] {
-            assert_eq!(run(t), base, "chip statistics drift at {t} threads");
-        }
     }
 }

@@ -47,6 +47,20 @@ use crate::Cycles;
 /// domains can be advanced on pool workers. Cores sharing one L2 are
 /// never advanced concurrently (see [`CoreModel::share_group`]), so the
 /// mutex is uncontended and exists only to make the sharing `Send`.
+///
+/// **Interleaving contract.** Every access stamps the cache's global
+/// tick and per-way LRU state, all of which a snapshot captures, so the
+/// order of the cores' accesses is observable. That order is fixed by
+/// the advance-window granularity alone: each window, the machine steps
+/// the cores of one L2 in index order, and core *i* completes its whole
+/// window before core *i + 1* starts. How a core steps inside its window
+/// — the hot engine or the per-cycle `step` loop — does not change its
+/// own access order, so a fast-forwarded core presents its neighbours
+/// exactly the cache state the per-cycle oracle would, and
+/// [`CoreConfig::fast_forward`] stays a pure speed knob under L2
+/// contention (the `fast_forward_matches_reference_across_shared_l2`
+/// test). Cutting the windows differently does reorder accesses, which
+/// is why the machine never fuses the windows of a shared-L2 domain.
 pub type SharedCache = Arc<Mutex<Cache>>;
 
 /// Static configuration of a core.
@@ -91,11 +105,13 @@ pub struct CoreConfig {
     /// drops its priority to 1 (leftover mode) or 0 (ST mode), which is
     /// exactly why the kernel does so (Section VI-A).
     pub slot_stealing: bool,
-    /// Batch quiet stretches — cycles in which neither context decodes,
-    /// issues, retires or flushes — with a closed-form counter update
-    /// instead of stepping them one by one (see [`SmtCore::advance`]).
-    /// `false` selects the per-cycle reference path; results are
-    /// bit-identical either way (the differential tests enforce it).
+    /// Run `advance` on the busy-window hot engine, which steps busy
+    /// cycles on flat precomputed state and credits quiet stretches —
+    /// cycles in which neither context decodes, issues, retires or
+    /// flushes — in closed form (see [`SmtCore::advance`]). `false`
+    /// selects the per-cycle `step` loop, the hot engine's oracle;
+    /// results are bit-identical either way (the differential tests
+    /// enforce it).
     pub fast_forward: bool,
 }
 
@@ -200,8 +216,9 @@ pub struct SmtCore {
     /// branch recomputation and the `OnceLock` load).
     pub(crate) lut: &'static GrantLut,
     /// Constants and reusable scratch for the busy-window hot engine;
-    /// `None` when the configuration falls outside its envelope (the
-    /// generic probe-and-step loop then serves the fast path alone).
+    /// `None` when the configuration falls outside its envelope
+    /// ([`crate::hot::HotState::for_config`]), and then every `advance`
+    /// steps per cycle. `CoreConfig::default()` is inside it.
     pub(crate) hot: Option<Box<crate::hot::HotState>>,
 }
 
@@ -276,14 +293,14 @@ impl SmtCore {
         self.ctx[t.index()].predictor.stats()
     }
 
-    /// Re-align the unit pool's lazy cycle marker with the reference
-    /// path after a fast-forward `advance`. The reference loop calls
+    /// Re-align the unit pool's lazy cycle marker with the per-cycle
+    /// path after a hot-engine `advance`. The per-cycle loop calls
     /// `begin_cycle` every cycle, so at a checkpoint boundary its marker
-    /// always reads `end - 1`; the fast paths skip quiet stretches and
+    /// always reads `end - 1`; the hot engine skips quiet stretches and
     /// would leave it at the last *stepped* cycle. Skipped cycles issue
     /// nothing, so rolling the marker forward (which zeroes the
-    /// per-cycle port counters exactly as the reference's empty cycles
-    /// did) makes the snapshot bit-identical; if the final cycle was
+    /// per-cycle port counters exactly as the per-cycle loop's empty
+    /// cycles did) makes the snapshot bit-identical; if the final cycle was
     /// actually stepped this is a no-op and its counters survive.
     fn sync_units_cycle(&mut self, cycles: Cycles) {
         if cycles > 0 {
@@ -427,70 +444,6 @@ impl SmtCore {
         }
 
         self.cycle += 1;
-    }
-
-    /// Counters that change exactly when a cycle does real work — a
-    /// decode, an issue (dispatch or pending length moves), a retire or a
-    /// mispredict flush. Two consecutive equal signatures mean the cycle
-    /// between them was *quiet*: nothing but slot ownership and stall
-    /// accounting happened.
-    fn activity_signature(&self) -> [[u64; 5]; 2] {
-        [0, 1].map(|i| {
-            let c = &self.ctx[i];
-            [
-                c.stats.decoded,
-                c.stats.retired,
-                c.stats.br_mispredicts,
-                c.dispatch.len() as u64,
-                c.pending.len() as u64,
-            ]
-        })
-    }
-
-    /// After a quiet probe cycle, the first cycle at which anything *can*
-    /// happen again, capped at `end`. Until then every cycle replays the
-    /// probe exactly:
-    ///
-    /// * nothing retires or unblocks a dependency before the earliest
-    ///   pending completion (all unsatisfied scoreboard entries are either
-    ///   `Cycles::MAX` sentinels or pending completion times);
-    /// * a fetch-stalled context stays stalled until `fetch_stall_until`,
-    ///   so decode eligibility is constant inside the window;
-    /// * with eligibility constant, whether a decode happens at cycle `t`
-    ///   is a pure function of the slot-grant pattern, which is periodic
-    ///   in 64 cycles — scanning one period decides "never" conclusively.
-    fn quiet_horizon(&self, end: Cycles) -> Cycles {
-        let mut h = end;
-        for c in &self.ctx {
-            if let Some(&Reverse(t)) = c.pending.peek() {
-                h = h.min(t);
-            }
-            if c.fetch_stall_until > self.cycle {
-                h = h.min(c.fetch_stall_until);
-            }
-        }
-        if h <= self.cycle {
-            return self.cycle;
-        }
-        let pa = self.ctx[0].tsr.read();
-        let pb = self.ctx[1].tsr.read();
-        let elig = [self.can_decode(ThreadId::A), self.can_decode(ThreadId::B)];
-        if !elig[0] && !elig[1] {
-            // Nobody can decode at all inside the window; no need to look
-            // for a grant position.
-            return h;
-        }
-        for off in 0..64.min(h - self.cycle) {
-            let t = self.cycle + off;
-            let g = self.lut.grant(pa, pb, t);
-            if let Some(owner) = g.owner {
-                let may_steal = g.leftover_allowed || self.cfg.slot_stealing;
-                if elig[owner.index()] || (may_steal && elig[owner.other().index()]) {
-                    return t;
-                }
-            }
-        }
-        h
     }
 
     fn ctx_state(&self, i: usize) -> CycleCtxState {
@@ -660,62 +613,23 @@ impl CoreModel for SmtCore {
     }
 
     /// Advance the core. With [`CoreConfig::fast_forward`] set (the
-    /// default), each per-cycle `step` doubles as a probe: when it turns
-    /// out quiet — no decode, issue, retire or flush — every following
-    /// cycle up to [`SmtCore::quiet_horizon`] is provably identical, so
-    /// the whole stretch is credited in closed form (ranged slot-grant
-    /// census for `slots_owned`, probe deltas times length for the stall
-    /// counters) and skipped. The per-cycle path is the reference; the
-    /// differential tests pin the two to bit-identical [`CtxStats`].
+    /// default), the busy-window hot engine runs the whole window: a
+    /// specialized transcription of `step` (same operation order) on flat
+    /// scratch, which credits quiet stretches in closed form. It declines
+    /// a configuration outside its envelope and a checkpoint state its
+    /// issue masks cannot mirror exactly; the core then steps per cycle,
+    /// which is exact for both. `fast_forward: false` always steps per
+    /// cycle: that loop is the hot engine's oracle, and the differential
+    /// tests pin the two paths to bit-identical state.
     fn advance(&mut self, cycles: Cycles) -> [u64; 2] {
         let before = [self.ctx[0].stats.retired, self.ctx[1].stats.retired];
         let end = self.cycle + cycles;
-        // Busy-window hot engine: a specialized transcription of `step`
-        // (same operation order, same quiet-window skipping) that runs on
-        // flat scratch instead of the heap-backed structures. It declines
-        // configurations outside its envelope — then the generic
-        // probe-and-step loop below serves the fast path as before.
         if self.cfg.fast_forward && crate::hot::advance_hot(self, end) {
             self.sync_units_cycle(cycles);
-            return [
-                self.ctx[0].stats.retired - before[0],
-                self.ctx[1].stats.retired - before[1],
-            ];
-        }
-        while self.cycle < end {
-            if !self.cfg.fast_forward {
+        } else {
+            while self.cycle < end {
                 self.step();
-                continue;
             }
-            let pre = self.activity_signature();
-            let stalls_pre =
-                [0, 1].map(|i| (self.ctx[i].stats.stall_dep, self.ctx[i].stats.stall_unit));
-            self.step();
-            if self.activity_signature() != pre {
-                continue;
-            }
-            let horizon = self.quiet_horizon(end);
-            if horizon <= self.cycle {
-                continue;
-            }
-            let k = horizon - self.cycle;
-            let (ca, cb) = crate::decode::grant_census_range(
-                self.ctx[0].tsr.read(),
-                self.ctx[1].tsr.read(),
-                self.cycle,
-                horizon,
-            );
-            self.ctx[0].stats.slots_owned += ca;
-            self.ctx[1].stats.slots_owned += cb;
-            for (i, (dep_pre, unit_pre)) in stalls_pre.into_iter().enumerate() {
-                let s = &mut self.ctx[i].stats;
-                s.stall_dep += k * (s.stall_dep - dep_pre);
-                s.stall_unit += k * (s.stall_unit - unit_pre);
-            }
-            self.cycle = horizon;
-        }
-        if self.cfg.fast_forward {
-            self.sync_units_cycle(cycles);
         }
         [
             self.ctx[0].stats.retired - before[0],
@@ -1225,6 +1139,84 @@ mod tests {
             &[6_000; 4],
             true,
         );
+    }
+
+    /// Fast-forward is a pure speed knob even across a *shared* L2: two
+    /// cores contending for one (shrunken) L2, each window stepped core 0
+    /// then core 1 as the [`SharedCache`] contract says, must produce
+    /// bit-identical retired counts, core snapshots, per-context
+    /// statistics, L2 hit/miss totals and cross-core evictions on the
+    /// per-cycle oracle and the fast-forward path — including window
+    /// sizes that split the cores' steady decode stretches at odd
+    /// grant-period offsets.
+    #[test]
+    fn fast_forward_matches_reference_across_shared_l2() {
+        let run = |fast: bool| {
+            let cfg = CoreConfig {
+                fast_forward: fast,
+                l2: CacheConfig {
+                    bytes: 64 << 10,
+                    line_size: 128,
+                    assoc: 8,
+                    hit_latency: 13,
+                },
+                ..CoreConfig::default()
+            };
+            let l2: SharedCache = Arc::new(Mutex::new(Cache::new(cfg.l2)));
+            let mut cores: Vec<SmtCore> = (0..2)
+                .map(|i| SmtCore::with_l2(cfg.clone(), i, Arc::clone(&l2)))
+                .collect();
+            let heavy = |seed| StreamSpec {
+                fx: 2,
+                fp: 0,
+                ls: 7,
+                br: 1,
+                dep_dist: 8,
+                working_set: 128 << 10,
+                code_kb: 8,
+                seed,
+            };
+            cores[0].assign(ThreadId::A, Workload::from_spec("w0", heavy(1)));
+            cores[0].assign(
+                ThreadId::B,
+                Workload::from_spec("fe", StreamSpec::frontend_bound(3)),
+            );
+            cores[1].assign(ThreadId::A, Workload::from_spec("w1", heavy(2)));
+            cores[1].set_priority(ThreadId::A, HwPriority::MEDIUM_HIGH);
+            // Windows chosen to end mid grant period (64) and mid steady
+            // decode stretches.
+            let mut log = Vec::new();
+            for window in [1, 63, 129, 5_000, 7, 20_000] {
+                let retired: Vec<[u64; 2]> = cores.iter_mut().map(|c| c.advance(window)).collect();
+                log.push(retired);
+            }
+            let snaps: Vec<CoreState> = cores.iter().map(SmtCore::save_state).collect();
+            let stats: Vec<CtxStats> = cores
+                .iter()
+                .flat_map(|c| ThreadId::BOTH.map(|t| *c.stats(t)))
+                .collect();
+            let l2 = l2.lock().unwrap();
+            (log, snaps, stats, l2.stats(), l2.cross_evictions())
+        };
+        let reference = run(false);
+        let fast = run(true);
+        assert!(
+            reference.4 > 0,
+            "the scenario must actually exercise cross-core L2 contention"
+        );
+        assert_eq!(
+            fast, reference,
+            "fast-forward must be invisible across the shared L2"
+        );
+    }
+
+    /// `StaticRun::cycle_accurate` builds every cycle-level core at
+    /// `CoreConfig::default()`. Outside the hot engine's envelope, every
+    /// cycle-fidelity run would step per cycle without any error, so
+    /// the default must get a hot engine.
+    #[test]
+    fn default_config_runs_on_the_hot_engine() {
+        assert!(SmtCore::new(CoreConfig::default()).hot.is_some());
     }
 
     #[test]

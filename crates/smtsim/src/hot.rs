@@ -1,12 +1,13 @@
-//! Busy-window hot engine for the cycle core's fast-forward path.
+//! Busy-window hot engine: the cycle core's fast-forward path.
 //!
-//! The quiet-cycle skip in [`crate::core::SmtCore::advance`] only pays
-//! when a context is *stalled*; decode-bound windows step every cycle
-//! and used to run at the reference path's speed (the table3-frontend
-//! sweep measured ~1.0×). This module is a specialized transcription of
-//! `SmtCore::step` for exactly those busy stretches: the same logical
-//! operations in the same order — so results are bit-identical, enforced
-//! by the differential suites — but on flat, precomputed state:
+//! [`crate::core::SmtCore::advance`] has two paths: this engine, and
+//! the per-cycle `SmtCore::step` loop that serves as its oracle
+//! (`CoreConfig::fast_forward: false`). The engine is a specialized
+//! transcription of `step`: the same logical operations in the same
+//! order — so results are bit-identical, enforced by the differential
+//! suites — on flat, precomputed state, with every quiet stretch (no
+//! decode, issue, retire or flush) credited in closed form instead of
+//! stepped:
 //!
 //! * **Issue masks** replace the walk of the issue window. Every queued
 //!   instruction owns bit `seq % 128` of three kinds of `u128` mask per
@@ -44,7 +45,7 @@
 //!   ([`crate::decode::GrantLut::period`]); the per-cycle lookup is a
 //!   single `cycle & 63` load. Slot-ownership stats are accumulated in
 //!   registers and flushed per window, and skipped stretches are credited
-//!   by ranged census exactly like the generic path.
+//!   by ranged census ([`grant_census_range`]).
 //! * **Completion-count ring** replaces the retire [`BinaryHeap`]: all
 //!   in-flight completion times lie within `max_lat` cycles of `now`, so
 //!   a power-of-two ring of counters gives O(1) insert and O(1) retire,
@@ -63,8 +64,10 @@
 //!
 //! Configurations outside the envelope ([`HotState::for_config`]) — or
 //! checkpoint states the masks cannot mirror exactly ([`mirrorable`]) —
-//! decline the hot path and fall back to the generic probe-and-step
-//! loop, which remains behaviorally identical.
+//! decline the hot path, and the core steps those windows per cycle,
+//! which is exact for any state. No configuration the simulator builds
+//! is outside the envelope (`CoreConfig::default()` is inside, which a
+//! unit test pins), and every state it produces is mirrorable.
 //!
 //! Checkpoint boundaries are forced exit points: the engine converts its
 //! flat state back into the canonical [`crate::core::Ctx`] structures at
@@ -460,7 +463,7 @@ fn mirrorable(c: &Ctx, now: Cycles, window: usize, max_lat: Cycles) -> bool {
 /// Advance `core` to `end` on the hot engine. Returns `false` — with the
 /// core untouched — when the engine does not apply (no [`HotState`] for
 /// this configuration, or a state the masks cannot mirror); the caller
-/// then runs the generic fast-forward loop.
+/// then steps the window per cycle.
 pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
     let SmtCore {
         cfg,
@@ -742,8 +745,24 @@ pub(crate) fn advance_hot(core: &mut SmtCore, end: Cycles) -> bool {
         if active {
             continue;
         }
-        // Quiet probe: identical to the generic path's `quiet_horizon`
-        // plus census/stall crediting, expressed over the flat state.
+        // Quiet probe. The cycle just stepped did nothing but slot
+        // ownership and stall accounting, and every cycle before `target`
+        // provably replays it, so the stretch is credited in closed form:
+        // * nothing retires or wakes a dependency before the earliest
+        //   pending completion (every wake time is also a pending
+        //   completion, and every unsatisfied scoreboard entry is a
+        //   queued entry's sentinel or a pending completion time);
+        // * a fetch-stalled context stays stalled until
+        //   `fetch_stall_until`, so decode eligibility is constant below
+        //   `h`;
+        // * with eligibility constant, whether a decode happens at cycle
+        //   `t` is a pure function of the slot-grant pattern, which is
+        //   periodic in `GRANT_PERIOD` cycles, so scanning one period
+        //   decides "never" conclusively;
+        // * the issue walk meets the same queue with the same readiness
+        //   each cycle, so it stalls the same entries: `ddep`/`dunit`
+        //   times the stretch length are the stall counts, and a ranged
+        //   census the slot ownership.
         let mut h = end;
         for i in 0..2 {
             if pend[i] > 0 {

@@ -17,8 +17,9 @@
 //!   unit mix, dependency depth and memory behaviour.
 //! * [`cache`] — set-associative LRU caches (private L1s, shared L2).
 //! * [`units`] — the core's shared execution-unit pool.
-//! * [`core`] / [`chip`] — the cycle-level 2-way SMT core and the dual-core
-//!   chip built from it.
+//! * [`core`] — the cycle-level 2-way SMT core; [`chip`] builds the
+//!   machine's cores from it (or from [`perfmodel`]), one shared L2 per
+//!   chip.
 //! * [`perfmodel`] — a fast *mesoscale* throughput model implementing the
 //!   same [`model::CoreModel`] interface, calibrated against the cycle
 //!   model; the system-level simulator uses it so that minutes of simulated
@@ -51,7 +52,6 @@ pub mod stats;
 pub mod units;
 
 pub use crate::core::{CoreConfig, SmtCore};
-pub use chip::{Chip, ChipConfig};
 pub use decode::{slot_grant, SlotGrant};
 pub use inst::{InstClass, StreamSpec};
 pub use model::{CoreModel, ThreadId, WorkloadProfile};

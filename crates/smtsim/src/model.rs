@@ -169,7 +169,9 @@ pub trait CoreModel: Send {
     /// the address of its shared L2), or `None` when the core touches no
     /// cross-core state and may be advanced concurrently with any other
     /// core. Cores reporting the same group are advanced sequentially, in
-    /// index order, on a single worker.
+    /// index order, on a single worker, each completing its window before
+    /// the next starts: the interleaving contract that keeps a shared L2
+    /// exact ([`crate::core::SharedCache`]).
     fn share_group(&self) -> Option<usize> {
         None
     }

@@ -274,13 +274,7 @@ fn cycle_chunked_checkpoints_split_steady_windows() {
     };
     let straight = execute(mk()).unwrap();
     let mut sink = CountSink { offers: 0 };
-    let chunked = execute_chunked(
-        mk().with_checkpoint_every(1),
-        None,
-        &mut NullObserver,
-        &mut sink,
-    )
-    .unwrap();
+    let chunked = execute_chunked(mk(), 1, None, &mut NullObserver, &mut sink).unwrap();
     assert_eq!(chunked, straight);
     assert!(
         sink.offers > 1,
@@ -321,13 +315,7 @@ fn chunked_execution_with_sink_matches_execute() {
         config_hash: 7,
         offers: 0,
     };
-    let chunked = execute_chunked(
-        mk().with_checkpoint_every(2),
-        None,
-        &mut NullObserver,
-        &mut sink,
-    )
-    .unwrap();
+    let chunked = execute_chunked(mk(), 2, None, &mut NullObserver, &mut sink).unwrap();
     assert_eq!(chunked, straight);
     assert!(sink.offers > 0, "a multi-chunk run must offer checkpoints");
 
@@ -336,6 +324,7 @@ fn chunked_execution_with_sink_matches_execute() {
     std::fs::remove_file(&path).ok();
     let resumed = execute_chunked(
         mk(),
+        u64::MAX,
         Some(&snap.state),
         &mut NullObserver,
         &mut mtb_core::NoCheckpoint,

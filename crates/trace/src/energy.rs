@@ -9,7 +9,6 @@
 //! point is costly — and a much smaller idle power once its process has
 //! exited; retired instructions add dynamic energy on top.
 
-use crate::metrics::RunMetrics;
 use crate::timeline::Timeline;
 use crate::{Cycles, NOMINAL_CLOCK_HZ};
 
@@ -88,18 +87,6 @@ pub fn measure(
         avg_watts: if seconds > 0.0 { joules / seconds } else { 0.0 },
         edp: joules * seconds,
     }
-}
-
-/// Convenience: energy from run metrics plus retired counts (uses the
-/// metrics' embedded lifetimes).
-pub fn measure_metrics(
-    metrics: &RunMetrics,
-    timelines: &[Timeline],
-    retired: &[u64],
-    contexts: usize,
-    model: &EnergyModel,
-) -> EnergyReport {
-    measure(timelines, retired, metrics.exec_cycles, contexts, model)
 }
 
 #[cfg(test)]

@@ -35,14 +35,6 @@ impl Default for GanttConfig {
     }
 }
 
-impl GanttConfig {
-    /// Zoom into `[start, end)`.
-    pub fn with_window(mut self, start: Cycles, end: Cycles) -> GanttConfig {
-        self.window = Some((start, end));
-        self
-    }
-}
-
 /// Render a set of timelines as an ASCII Gantt chart.
 ///
 /// Each output row is `label |<glyphs>|`; every column represents an equal

@@ -15,7 +15,7 @@
 
 use crate::state::ProcState;
 use crate::timeline::Timeline;
-use crate::{cycles_to_seconds, Cycles};
+use crate::Cycles;
 
 /// Per-process breakdown: one row of the paper's characterization tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,11 +95,6 @@ impl RunMetrics {
             imbalance_pct,
             exec_cycles: end.saturating_sub(start),
         }
-    }
-
-    /// Execution time in nominal seconds.
-    pub fn exec_seconds(&self) -> f64 {
-        cycles_to_seconds(self.exec_cycles)
     }
 
     /// Percentage improvement of `self` over a reference run

@@ -210,11 +210,6 @@ impl TimelineBuilder {
         }
     }
 
-    /// Time at which the currently open interval began.
-    pub fn open_since(&self) -> Option<Cycles> {
-        self.current.map(|(t, _)| t)
-    }
-
     /// Decompose the builder into its raw parts for checkpointing:
     /// `(pid, label, closed intervals, open (since, state))`.
     pub fn save_parts(&self) -> (usize, String, Vec<Interval>, Option<(Cycles, ProcState)>) {

@@ -57,11 +57,6 @@ pub fn mem_load(seed: u64) -> Workload {
     Workload::from_spec("metbench-mem", StreamSpec::mem_bound(seed))
 }
 
-/// MetBench `branch` unit-stress load.
-pub fn branch_load(seed: u64) -> Workload {
-    Workload::from_spec("metbench-branch", StreamSpec::branch_bound(seed))
-}
-
 /// BT-MZ solver load: very high ILP structured-mesh arithmetic.
 pub fn btmz_load(seed: u64) -> Workload {
     Workload::with_profile(

@@ -1,4 +1,5 @@
-//! The cycle core's fast path (hot engine plus quiet-cycle skip) is
+//! The cycle core's fast path (the hot engine, which also skips quiet
+//! stretches in closed form) is
 //! bit-identical to the per-cycle reference on the traffic the paper
 //! cases put through it: two-core chips sharing one L2, each context
 //! running a paper load, the MPI spin stream or nothing, with priorities
