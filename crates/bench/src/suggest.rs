@@ -7,7 +7,7 @@
 //! predict to be hazardous (inversions, starvation, illegal settings),
 //! and ranks the survivors by predicted makespan.
 //!
-//! [`validate`] is the calibration harness: for each app it simulates a
+//! [`validate_app`] is the calibration harness: for each app it simulates a
 //! ladder of configurations — the paper's own cases plus the search's
 //! best and worst surviving plans — and compares the *ranking* the
 //! static model predicts against the ranking the simulator produces,

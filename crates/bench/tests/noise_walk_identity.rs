@@ -12,6 +12,17 @@
 //! that opens exactly when a compute phase completes), patched and
 //! vanilla kernels, the three wait policies, and runs with and without
 //! the two-level controller.
+//!
+//! The walk computes a target's completion instant only when it can
+//! come before the target's core's next noise edge (or the walk's end),
+//! and otherwise looks again at that edge. Scripted machine-level cases
+//! pin the edges of that rule against the reference, call by call and
+//! state by state: a completion exactly on its core's next edge, one
+//! exactly on the walk's end, one found at an edge that flips nothing
+//! (two windows overlapping on one context) while the target waited
+//! there, and unbounded walks whose only target waits past the last
+//! edge, once with a target that completes later and once with one that
+//! never can.
 
 use mtb_bench::lint::record_hash;
 use mtb_core::balance::{prepare, StaticRun};
@@ -20,8 +31,10 @@ use mtb_core::policy::PrioritySetting;
 use mtb_core::{ControllerConfig, TwoLevelController};
 use mtb_mpisim::engine::{Engine, Observer, RunResult};
 use mtb_mpisim::{NullObserver, Program};
-use mtb_oskernel::{CtxAddr, KernelConfig, NoiseSource, Segmentation, WaitPolicy};
-use mtb_smtsim::PrivilegeLevel;
+use mtb_oskernel::{CtxAddr, KernelConfig, Machine, NoiseSource, Segmentation, WaitPolicy};
+use mtb_smtsim::chip::build_cores;
+use mtb_smtsim::model::{Workload, WorkloadProfile};
+use mtb_smtsim::{Cycles, PrivilegeLevel, StreamSpec};
 use mtb_snap::state_hash;
 use mtb_workloads::{BtMzConfig, MetBenchConfig, SiestaConfig};
 use proptest::prelude::*;
@@ -287,4 +300,150 @@ proptest! {
         );
         prop_assert_eq!(first_thread_divergence(&s, &noise), None, "{:?}", s);
     }
+}
+
+/// A two-core meso machine under `noise`: process 0 computes on CPU 0
+/// and process 1 on its sibling, CPU 1; process 0's workload retires
+/// nothing when `stalled`.
+fn machine(noise: &[NoiseSource], seg: Segmentation, stalled: bool) -> Machine {
+    let mut m = Machine::new(build_cores(2, false), KernelConfig::patched());
+    m.set_segmentation(seg);
+    for pid in 0..2 {
+        m.spawn(pid, format!("rank{pid}"), CtxAddr::from_cpu(pid))
+            .unwrap();
+        let ipc = if stalled && pid == 0 { 0.0 } else { 2.5 };
+        let w = Workload::with_profile(
+            "compute",
+            StreamSpec::balanced(pid as u64 + 1),
+            WorkloadProfile::new(ipc, 0.2, 0.1),
+        );
+        m.run_workload(pid, w).unwrap();
+    }
+    for src in noise {
+        m.add_noise(src.clone());
+    }
+    m
+}
+
+/// One step of the walk taken on a reference machine, which ends every
+/// `advance_until` call at a noise edge: calls repeated, as the engine
+/// repeats them, until a target completes, the step's end falls, or a
+/// call finds nothing left to step to. Returns what the walk returns.
+fn reference_step(
+    m: &mut Machine,
+    bound: Option<Cycles>,
+    limit: Cycles,
+    targets: &[(usize, u64)],
+) -> Option<Cycles> {
+    let start = m.now();
+    let end = start + bound.map_or(limit, |b| b.clamp(1, limit));
+    loop {
+        let now = m.now();
+        if m.advance_until(bound.map(|_| end - now), end - now, targets)
+            .is_none()
+        {
+            return (now > start).then(|| now - start);
+        }
+        let done = targets.iter().any(|&(pid, goal)| m.retired(pid) >= goal);
+        if done || m.now() == end {
+            return Some(m.now() - start);
+        }
+    }
+}
+
+/// Take `steps` — `(bound, limit, goal of process 0)` each — on a walked
+/// and a reference machine in lockstep. Every step must answer the same
+/// and leave the same state on both; the walk's answers are returned.
+fn walk_vs_reference(
+    noise: &[NoiseSource],
+    stalled: bool,
+    steps: &[(Option<Cycles>, Cycles, u64)],
+) -> Vec<Option<Cycles>> {
+    let mut walked = machine(noise, Segmentation::Calendar, stalled);
+    let mut reference = machine(noise, Segmentation::Reference, stalled);
+    steps
+        .iter()
+        .map(|&(bound, limit, goal)| {
+            let targets = [(0, goal)];
+            let got = walked.advance_until(bound, limit, &targets);
+            let want = reference_step(&mut reference, bound, limit, &targets);
+            assert_eq!(got, want, "step ({bound:?}, {limit}, {goal})");
+            assert_eq!(walked.save_state(), reference.save_state());
+            got
+        })
+        .collect()
+}
+
+/// A periodic window on `cpu`.
+fn window(cpu: usize, period: Cycles, cost: Cycles, phase: Cycles) -> NoiseSource {
+    NoiseSource::device("w", CtxAddr::from_cpu(cpu), period, cost, phase)
+}
+
+#[test]
+fn walk_boundary_cases_match_the_reference() {
+    const FAR: Cycles = 1 << 40;
+    // Windows on both contexts of core 0; the sibling's move process 0's
+    // rate. Process 0 completes `goal` at `t`, long after many edges.
+    let base = [
+        window(0, 100_000, 4_000, 0),
+        window(1, 70_000, 9_000, 5_000),
+    ];
+    let goal = 5_000_000;
+    let [Some(t)] = walk_vs_reference(&base, false, &[(None, FAR, goal)])[..] else {
+        panic!("process 0 completes");
+    };
+    assert!(t > 1_000_000, "the completion comes after many edges: {t}");
+
+    // A completion exactly on its core's next edge: a window opens on the
+    // sibling at that instant (nothing differs before it).
+    let mut on_edge = base.to_vec();
+    on_edge.push(NoiseSource::once("edge", CtxAddr::from_cpu(1), t, 3_000));
+    assert_eq!(
+        walk_vs_reference(&on_edge, false, &[(None, FAR, goal)]),
+        [Some(t)]
+    );
+
+    // A completion one cycle before the walk's end, exactly on it, and
+    // one cycle after it.
+    for bound in [t + 1, t, t - 1] {
+        assert_eq!(
+            walk_vs_reference(&base, false, &[(Some(bound), FAR, goal)]),
+            [Some(bound.min(t))]
+        );
+    }
+
+    // Two windows overlapping on the sibling: the inner one's edges, at
+    // 10k and 20k into each period, flip nothing. The goal is what
+    // process 0 has retired 25k cycles into the 41st period, so it
+    // completes after the inner window's end and before the outer's, at
+    // 30k: the walk finds the instant at an edge that flips nothing,
+    // where the target has waited since the outer window opened.
+    let overlap = [
+        window(1, 100_000, 30_000, 0),
+        window(1, 100_000, 10_000, 10_000),
+    ];
+    let mut probe = machine(&overlap, Segmentation::Calendar, false);
+    probe.advance(4_025_000);
+    let goal = probe.retired(0);
+    let [Some(t)] = walk_vs_reference(&overlap, false, &[(None, FAR, goal)])[..] else {
+        panic!("process 0 completes");
+    };
+    assert!((4_020_001..=4_025_000).contains(&t), "{t}");
+
+    // Unbounded walks past the last edge of one-shot windows, with the
+    // only target still waiting there. One that completes later runs to
+    // the limit; one that never can stops at the last edge it crossed,
+    // and the next call advances nothing.
+    let finite = [
+        NoiseSource::once("a", CtxAddr::from_cpu(1), 10_000, 5_000),
+        NoiseSource::once("b", CtxAddr::from_cpu(1), 50_000, 5_000),
+    ];
+    assert_eq!(
+        walk_vs_reference(&finite, false, &[(None, 1_000_000, FAR)]),
+        [Some(1_000_000)]
+    );
+    assert_eq!(
+        walk_vs_reference(&finite, true, &[(None, 1_000_000, 1), (None, 1_000_000, 1)]),
+        [Some(55_000), None]
+    );
 }

@@ -30,7 +30,7 @@
 //!    cool-off period.
 //!
 //! [`TwoLevelController`] wraps the balancer in the full v2 scheme: a
-//! [`ProgressModel`](crate::observe::ProgressModel) turns retired
+//! [`ProgressModel`] turns retired
 //! instruction counts into per-rank progress deficits against the static
 //! plan (level 2's inputs), and when intra-core tuning saturates — every
 //! imbalanced pair already at the difference cap or frozen — while the

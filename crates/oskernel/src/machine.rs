@@ -713,8 +713,9 @@ impl Machine {
     /// instructions under the machine's current state, ignoring future
     /// noise windows; `None` while the process is not running, sits in a
     /// handler window or spins. [`Machine::advance_until`] asks this of
-    /// every target at each step it does not walk itself, and re-asks it
-    /// of the targets on a core whose handler state flips during a walk.
+    /// every target at each step it does not walk itself; its noise walk
+    /// asks the cores directly, and only for instants that can come
+    /// before a core's next noise edge.
     pub fn cycles_to_retire(&self, pid: usize, n: u64) -> Option<Cycles> {
         let pcb = self.procs.get(pid)?;
         if pcb.state != ProcRunState::Running {
@@ -765,11 +766,16 @@ impl Machine {
     ///   under [`Segmentation::Calendar`]: one call walks every noise
     ///   edge before the stop, core by core in time order, applying
     ///   handler flips where they fall. After a flip only the targets on
-    ///   the flipped core are re-predicted (both of its contexts: a
+    ///   the flipped core are predicted again (both of its contexts: a
     ///   sibling's handler changes the other context's rate); the other
-    ///   cores' completion times still hold, because their configuration
-    ///   did not change and their `CoreModel::advance` is
-    ///   split-invariant. A flip falling on the stop instant is applied
+    ///   cores' predictions still hold, because their configuration did
+    ///   not change and their `CoreModel::advance` is split-invariant. A
+    ///   target's completion instant is computed only when
+    ///   [`CoreModel::may_retire_within`] says it can fall by its core's
+    ///   next noise edge (or the step's end); otherwise the walk looks
+    ///   again when it reaches that edge, where a flip predicts it anew
+    ///   and an edge that flips nothing leaves the same question with a
+    ///   later edge. A flip falling on the stop instant is applied
     ///   before returning, as [`Machine::advance`] applies flips at its
     ///   epoch end. The walk steps sequentially, whatever the runner.
     /// * **Anything else** — shared-L2 (cycle) machines,
@@ -898,7 +904,7 @@ impl Machine {
     /// epoch costs one dispatch and one merge wait, however many noise
     /// segments it contains. Without one, an epoch allocates nothing once
     /// the machine is warm: every conflict domain keeps its noise calendar
-    /// and scratch across epochs (see [`DomainCalendar`]).
+    /// and scratch across epochs (see `DomainCalendar`).
     pub fn advance(&mut self, dt: Cycles) {
         let start = self.now;
         let end = start + dt;
@@ -1201,9 +1207,23 @@ struct CoreWalk {
     /// Per context: the retired count its process must reach, when the
     /// process is a target.
     goal: [Option<u64>; 2],
-    /// Per context: the instant it reaches `goal` under the core's
-    /// current configuration.
-    due: [Option<Cycles>; 2],
+    /// Per context: when it reaches `goal` under the core's current
+    /// configuration, as far as the walk needs to know; `None` when it
+    /// is no target or none of its progress counts (its process is not
+    /// running, sits in a handler window or spins).
+    due: [Option<Due>; 2],
+}
+
+/// When a walked target completes under its core's current
+/// configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Due {
+    /// At this instant.
+    At(Cycles),
+    /// Strictly after this instant, if ever. The instant is the core's
+    /// next noise edge, or the walk's end if that is earlier; the walk
+    /// looks again when it reaches that edge.
+    After(Cycles),
 }
 
 /// One shard of an epoch: a contiguous run of cores (whole share-group
@@ -1550,15 +1570,23 @@ impl Shard<'_> {
     /// time order (lowest core first on ties), stepping a core only when
     /// its handler state flips, and only up to the flip, so a boundary
     /// that flips nothing costs a heap pop. After a flip the core's
-    /// targets are re-predicted. The walk stops at the earliest of `end`
-    /// and every context's due instant; every core then steps to the
-    /// stop and closes its epoch there, applying flips that fall on it.
+    /// targets are predicted again (see [`Shard::predict`]): a target
+    /// gets a due instant only when it can complete by the core's next
+    /// boundary (or `end`), and is otherwise looked at again when the
+    /// walk reaches that boundary. The walk stops at the earliest of
+    /// `end` and every due instant; every core then steps to the stop and
+    /// closes its epoch there, applying flips that fall on it.
     ///
     /// Exactness: cores share nothing, `CoreModel::advance` is
     /// split-invariant and the accounting is linear under a fixed mode,
     /// so each core's state at the stop matches one stepped through the
     /// same flips in epochs ending at every boundary — what
-    /// [`Shard::advance_domain`] does when the caller stops at each.
+    /// [`Shard::advance_domain`] does when the caller stops at each. A
+    /// target left without an instant completes after its core's next
+    /// boundary; the walk visits boundaries in time order, so it reaches
+    /// that one before any later instant could matter, with the core
+    /// neither stepped nor flipped since the prediction, and computes the
+    /// instant there if it is needed: the same instant, so the same stop.
     ///
     /// When the step is unbounded (`!bounded`), no context is due and no
     /// boundary lies ahead, nothing can ever complete: the walk stops at
@@ -1573,17 +1601,21 @@ impl Shard<'_> {
         bounded: bool,
     ) -> Option<Cycles> {
         let domains = std::mem::take(&mut self.domains);
+        let horizon = |dom: &DomainCalendar| dom.cal.next_boundary().map_or(end, |b| b.min(end));
         for (k, w) in walk.iter_mut().enumerate() {
             self.open_domain(&mut domains[k], k, k + 1, start);
             w.at = start;
-            self.predict(w, k, start);
+            self.predict(w, k, horizon(&domains[k]), false);
         }
         let mut crossed = start;
         let stop = loop {
             let stop = walk
                 .iter()
                 .flat_map(|w| w.due)
-                .flatten()
+                .filter_map(|d| match d {
+                    Some(Due::At(t)) => Some(t),
+                    _ => None,
+                })
                 .fold(end, Cycles::min);
             let edge = domains
                 .iter()
@@ -1594,14 +1626,20 @@ impl Shard<'_> {
                 Some((b, k)) if b < stop => {
                     crossed = b;
                     let dom = &mut domains[k];
-                    if self.drain(dom, k, k + 1, b) {
+                    let flipped = self.drain(dom, k, k + 1, b);
+                    if flipped {
                         self.step_domain(k, k + 1, b - walk[k].at);
                         walk[k].at = b;
                         self.apply_flips(dom, k, k + 1);
-                        self.predict(&mut walk[k], k, b);
                     }
+                    self.predict(&mut walk[k], k, horizon(dom), !flipped);
                 }
-                None if !bounded && walk.iter().all(|w| w.due == [None; 2]) => {
+                None if !bounded
+                    && !walk
+                        .iter()
+                        .enumerate()
+                        .any(|(k, w)| self.may_complete(w, k)) =>
+                {
                     if crossed == start {
                         self.domains = domains;
                         return None;
@@ -1622,29 +1660,56 @@ impl Shard<'_> {
         Some(stop)
     }
 
-    /// Re-predict when core `k`, standing at `t`, completes each target.
-    fn predict(&self, w: &mut CoreWalk, k: usize, t: Cycles) {
+    /// Predict when core `k`, standing at `w.at`, completes each target,
+    /// as far as a walk that looks at the core again at `horizon` (its
+    /// next boundary, or the walk's end) needs to know: the instant when
+    /// [`CoreModel::may_retire_within`] says it can fall by `horizon`,
+    /// else [`Due::After`]`(horizon)`. With `lazy_only` the core's
+    /// configuration has not changed since the last prediction, so only
+    /// the targets left without an instant are looked at.
+    fn predict(&self, w: &mut CoreWalk, k: usize, horizon: Cycles, lazy_only: bool) {
         for ti in 0..2 {
-            w.due[ti] = w.goal[ti].and_then(|goal| self.due(k, ti, goal, t));
+            if lazy_only && !matches!(w.due[ti], Some(Due::After(_))) {
+                continue;
+            }
+            w.due[ti] = w.goal[ti].and_then(|goal| {
+                let t = ThreadId::from_index(ti);
+                match self.remaining(k, ti, goal)? {
+                    0 => Some(Due::At(w.at + 1)),
+                    n if self.cores[k].may_retire_within(t, n, horizon - w.at) => self.cores[k]
+                        .cycles_to_retire(t, n)
+                        .map(|dt| Due::At(w.at + dt)),
+                    _ => Some(Due::After(horizon)),
+                }
+            });
         }
     }
 
-    /// The instant context `ti` of core `k`, standing at `t`, has retired
-    /// `goal` instructions for its process: [`Machine::cycles_to_retire`]
-    /// of what is left, counting what the walk retired so far.
-    fn due(&self, k: usize, ti: usize, goal: u64, t: Cycles) -> Option<Cycles> {
+    /// Can some target of core `k` ever complete under the core's current
+    /// configuration? A target left without an instant is asked exactly:
+    /// [`Due::After`] does not say whether it completes at all.
+    fn may_complete(&self, w: &CoreWalk, k: usize) -> bool {
+        (0..2).any(|ti| match (w.due[ti], w.goal[ti]) {
+            (Some(Due::At(_)), _) => true,
+            (Some(Due::After(_)), Some(goal)) => self.remaining(k, ti, goal).is_some_and(|n| {
+                self.cores[k]
+                    .cycles_to_retire(ThreadId::from_index(ti), n)
+                    .is_some()
+            }),
+            _ => false,
+        })
+    }
+
+    /// What context `ti` of core `k` has left to retire of `goal` for its
+    /// process, counting what the walk retired so far; `None` while none
+    /// of its progress counts.
+    fn remaining(&self, k: usize, ti: usize, goal: u64) -> Option<u64> {
         let pcb = self.procs.get(self.ctx_owner[k][ti]?)?;
         let st = &self.ctx_state[k][ti];
         if pcb.state != ProcRunState::Running || st.in_handler || !st.counting {
             return None;
         }
-        let remaining = goal.saturating_sub(pcb.retired + self.acct[k][ti].retired);
-        if remaining == 0 {
-            return Some(t + 1);
-        }
-        self.cores[k]
-            .cycles_to_retire(ThreadId::from_index(ti), remaining)
-            .map(|dt| t + dt)
+        Some(goal.saturating_sub(pcb.retired + self.acct[k][ti].retired))
     }
 
     /// Enter or exit the handler window for one context so that its

@@ -187,6 +187,17 @@ pub trait CoreModel: Send {
         Some((n as f64 / r).ceil() as Cycles)
     }
 
+    /// Can context `t` retire `n` more instructions within `dt` cycles
+    /// under current conditions? Returns `false` only when it cannot, so
+    /// a caller that needs a completion instant only when it falls within
+    /// `dt` may skip [`CoreModel::cycles_to_retire`] on `false`. The
+    /// default answers exactly, through `cycles_to_retire`; an override
+    /// may answer more cheaply, and may say `true` where the exact answer
+    /// is no.
+    fn may_retire_within(&self, t: ThreadId, n: u64, dt: Cycles) -> bool {
+        self.cycles_to_retire(t, n).is_some_and(|d| d <= dt)
+    }
+
     /// Capture the core's full mutable state as plain data
     /// (checkpointing). Restoring it into a core built from the same
     /// configuration reproduces the simulation bit-identically.

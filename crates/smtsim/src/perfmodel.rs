@@ -172,6 +172,10 @@ impl MesoConfig {
 /// integer still count it. Small enough to never span a real instruction.
 const FLOOR_EPS: f64 = 1e-9;
 
+/// The completion time [`CoreModel::cycles_to_retire`] reports for a
+/// context too slow to reach its target in any simulated run.
+const FAR: Cycles = 9_000_000_000_000_000_000;
+
 /// 2^63: below it an `f64` truncates to `i64` without saturating.
 const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
@@ -488,8 +492,8 @@ impl CoreModel for MesoCore {
         let target_f = target as f64;
         let elapsed = self.cycle - c.anchor_cycle;
         let est = ceil_f64((target_f - c.carry) / rate) - elapsed as f64;
-        if !est.is_finite() || est >= 9e18 {
-            return Some(9_000_000_000_000_000_000);
+        if !est.is_finite() || est >= FAR as f64 {
+            return Some(FAR);
         }
         // Pin the estimate to the exact threshold of the expression
         // `advance` evaluates, so the promised event time is identical no
@@ -506,6 +510,29 @@ impl CoreModel for MesoCore {
             at: self.cycle + dt,
         }));
         Some(dt)
+    }
+
+    /// One evaluation of the predicate `cycles_to_retire` pins its answer
+    /// with, instead of the search: progress never decreases in `dt`, so
+    /// for `1 <= dt < FAR` the answer is the default's. A target the
+    /// completion memo holds is answered from it, exactly for every `dt`.
+    fn may_retire_within(&self, t: ThreadId, n: u64, dt: Cycles) -> bool {
+        let i = t.index();
+        let c = &self.ctx[i];
+        if !c.live() {
+            return false;
+        }
+        let target = c.retired - c.anchor_retired + n;
+        if let Some(p) = self.promised[i].get() {
+            if p.target == target && self.cycle < p.at {
+                return p.at - self.cycle <= dt;
+            }
+        }
+        let rate = self.rates()[i];
+        if rate <= 0.0 {
+            return false;
+        }
+        dt >= FAR || c.progress_at(rate, self.cycle + dt) >= target as f64
     }
 }
 
@@ -959,6 +986,95 @@ mod tests {
                             let done = core.retired(t) - before;
                             prop_assert!(done >= n, "retired {done} of {n} by the promised cycle");
                             check(&core, t, n.saturating_sub(done))?;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// `may_retire_within(t, n, dt)` is `cycles_to_retire(t, n) <= dt`:
+        /// exactly for `1 <= dt < FAR`, checked at `1`, `d - 1`, `d`,
+        /// `d + 1` and a random horizon (`d` the exact answer); exactly at
+        /// every horizon while the completion memo holds the target; and
+        /// one-sidedly (`false` only when it cannot complete within `dt`)
+        /// at every horizon, `0` and `FAR` onwards included. The queried
+        /// core, a cold copy of it and a copy that has just answered
+        /// `cycles_to_retire` are all asked. Profiles are random or drawn
+        /// from a set with starved contexts (IPC 0, or a priority-1
+        /// context beside one that fills every decode slot) and rates
+        /// whose progress lands exactly on whole instructions past 2^24,
+        /// where `progress >= target` is a tie. Op 6 warms the queried
+        /// core's memo and advances by less than its answer before asking,
+        /// so that core must then answer exactly at every horizon too.
+        #[test]
+        fn prop_may_retire_within_matches_cycles_to_retire(
+            ops in proptest::collection::vec((0u8..7, 0u64..1 << 26, 0u8..=7, 0usize..16, 0u64..1 << 40), 1..40),
+        ) {
+            let fixed = [
+                WorkloadProfile::new(0.5, 0.0, 0.0),
+                WorkloadProfile::new(1.0, 0.2, 0.1),
+                WorkloadProfile::new(2.5, 0.2, 0.02),
+                WorkloadProfile::new(0.0, 0.0, 0.0),
+                WorkloadProfile::new(6.0, 0.0, 0.0),
+                WorkloadProfile::new(1.5, 0.9, 0.9),
+            ];
+            let counts = [0u64, 1, 2, 97, 1_000, 123_457, 1 << 24];
+            let check = |core: &MesoCore, t: ThreadId, n: u64, r: u64, memo: bool| -> Result<(), TestCaseError> {
+                let copy = || {
+                    let mut c = MesoCore::default();
+                    c.restore_state(&core.save_state()).unwrap();
+                    c
+                };
+                let (cold, warm) = (copy(), copy());
+                let d = warm.cycles_to_retire(t, n);
+                prop_assert_eq!(d, cold.cycles_to_retire(t, n));
+                let within = |dt: Cycles| d.is_some_and(|d| d <= dt);
+                let e = d.unwrap_or(r);
+                let exact = [1, e.saturating_sub(1), e, e + 1, r % FAR];
+                let far = [0, FAR - 1, FAR, FAR + 1, Cycles::MAX];
+                for dt in exact.into_iter().chain(far) {
+                    for (who, c) in [("queried", core), ("cold", &cold), ("warm", &warm)] {
+                        let got = c.may_retire_within(t, n, dt);
+                        prop_assert!(got || !within(dt), "{} core: false at dt {} but cycles_to_retire is {:?}", who, dt, d);
+                        if (memo && who == "queried") || ((1..FAR).contains(&dt) && exact.contains(&dt)) {
+                            prop_assert_eq!(got, within(dt), "{} core at dt {} (cycles_to_retire {:?})", who, dt, d);
+                        }
+                    }
+                    if d.is_some_and(|d| d < FAR) {
+                        prop_assert_eq!(warm.may_retire_within(t, n, dt), within(dt), "memo answer at dt {}", dt);
+                    }
+                }
+                Ok(())
+            };
+            let mut core = pair(2.5, 2.65, 4, 6);
+            for (op, k, pr, sel, bits) in ops {
+                let t = ThreadId::from_index(sel & 1);
+                let n = counts[(sel >> 1) % counts.len()];
+                match op {
+                    0 => {
+                        core.advance(k % 20_000);
+                    }
+                    1 => {
+                        core.advance(k);
+                    }
+                    2 => core.set_priority(t, p(pr)),
+                    3 => {
+                        let random = WorkloadProfile::new(
+                            (bits % 6_001) as f64 / 1_000.0,
+                            ((bits >> 13) % 101) as f64 / 100.0,
+                            ((bits >> 20) % 101) as f64 / 100.0,
+                        );
+                        let prof = fixed.get(usize::from(pr)).copied().unwrap_or(random);
+                        core.assign(t, Workload::with_profile("w", StreamSpec::balanced(1), prof));
+                    }
+                    4 => core.clear(t),
+                    5 => check(&core, t, n, bits, false)?,
+                    _ => {
+                        if let Some(d) = core.cycles_to_retire(t, n) {
+                            let before = core.retired(t);
+                            core.advance(k % d);
+                            let done = core.retired(t) - before;
+                            check(&core, t, n - done, bits, d < FAR)?;
                         }
                     }
                 }

@@ -13,7 +13,7 @@
 //!   from the benchmark harness, which re-exports it.
 //! * [`codec`] — [`mtb_mpisim::EngineState`] ↔ [`json::Json`], plus the
 //!   canonical state hash the drift bisector compares.
-//! * [`file`] — the framed on-disk format: magic, schema version,
+//! * [`mod@file`] — the framed on-disk format: magic, schema version,
 //!   configuration hash, event count and a content hash that is verified
 //!   *before* the payload is parsed; atomic (tmp + fsync + rename)
 //!   writes; corrupt or truncated files are rejected, never trusted.
