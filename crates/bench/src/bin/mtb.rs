@@ -324,7 +324,7 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
     }
 
     let targets: Vec<(&str, &str)> = if args.flag("all-cases") {
-        lint::ALL_TARGETS.to_vec()
+        lint::all_targets()
     } else {
         let app = args
             .value("app")
@@ -473,13 +473,6 @@ fn cmd_bisect(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The checkpoint-identity targets: every paper case of every app.
-const CI_APPS: &[(&str, &[&str])] = &[
-    ("metbench", &["A", "B", "C", "D"]),
-    ("btmz", &["ST", "A", "B", "C", "D"]),
-    ("siesta", &["ST", "A", "B", "C", "D"]),
-];
-
 /// Build one checkpoint-identity target. Parent and children call this
 /// with the same arguments, so they reconstruct the identical run — the
 /// snapshot's config hash cross-checks that.
@@ -618,26 +611,25 @@ fn cmd_checkpoint_identity(args: &Args) -> ExitCode {
     let smoke = args.flag("smoke");
     let mut failures = 0usize;
     let mut targets = 0usize;
-    for &(app, cases) in CI_APPS {
+    // Every paper case of every paper app; `--smoke` keeps MetBench's.
+    for (app, case_name) in cli::app_targets(cli::PAPER_APPS) {
         if smoke && app != "metbench" {
             continue;
         }
-        for &case_name in cases {
-            for (stepping, stepping_s) in [
-                (Stepping::EventHorizon, "event-horizon"),
-                (Stepping::Quantum, "quantum"),
-            ] {
-                for (cycle, fidelity_s) in [(false, "meso"), (true, "cycle")] {
-                    targets += 1;
-                    let label = format!("{app} {case_name} {stepping_s} {fidelity_s}");
-                    match ci_one_target(
-                        &exe, app, case_name, stepping, stepping_s, cycle, fidelity_s,
-                    ) {
-                        Ok(line) => println!("ok   {label}: {line}"),
-                        Err(e) => {
-                            failures += 1;
-                            eprintln!("FAIL {label}: {e}");
-                        }
+        for (stepping, stepping_s) in [
+            (Stepping::EventHorizon, "event-horizon"),
+            (Stepping::Quantum, "quantum"),
+        ] {
+            for (cycle, fidelity_s) in [(false, "meso"), (true, "cycle")] {
+                targets += 1;
+                let label = format!("{app} {case_name} {stepping_s} {fidelity_s}");
+                match ci_one_target(
+                    &exe, app, case_name, stepping, stepping_s, cycle, fidelity_s,
+                ) {
+                    Ok(line) => println!("ok   {label}: {line}"),
+                    Err(e) => {
+                        failures += 1;
+                        eprintln!("FAIL {label}: {e}");
                     }
                 }
             }

@@ -212,12 +212,19 @@ impl AppOverrides {
     }
 }
 
+/// Every app [`build_app`] knows, in report order: the paper's three
+/// (Tables IV–VI), then the synthetic benchmark.
+pub const APPS: &[&str] = &["metbench", "btmz", "siesta", "synthetic"];
+
+/// The apps with a paper table: [`APPS`] without the synthetic benchmark.
+pub const PAPER_APPS: &[&str] = APPS.split_at(3).0;
+
 fn unknown_app(app: &str) -> String {
-    format!("unknown app {app:?} (expected metbench|btmz|siesta|synthetic)")
+    format!("unknown app {app:?} (expected {})", APPS.join("|"))
 }
 
 /// The paper cases of `app`, its ST row first where the paper has one.
-pub(crate) fn app_cases(app: &str) -> Result<Vec<Case>, String> {
+pub fn app_cases(app: &str) -> Result<Vec<Case>, String> {
     Ok(match app {
         "metbench" => paper_cases::metbench_cases(),
         "btmz" => std::iter::once(paper_cases::btmz_st_case())
@@ -233,6 +240,31 @@ pub(crate) fn app_cases(app: &str) -> Result<Vec<Case>, String> {
         }],
         other => return Err(unknown_app(other)),
     })
+}
+
+/// The SMT cases of `app`: its [`app_cases`] without the ST row, whose
+/// two-rank programs do not compare with the others. The static ladder
+/// the plan search and the controller are measured against.
+pub(crate) fn smt_cases(app: &str) -> Result<Vec<Case>, String> {
+    let mut cases = app_cases(app)?;
+    cases.retain(|c| c.name != "ST");
+    Ok(cases)
+}
+
+/// Every `(app, case)` pair of `apps`, each app's cases in
+/// [`app_cases`] order.
+///
+/// # Panics
+/// Panics on an app outside [`APPS`].
+pub fn app_targets(apps: &[&'static str]) -> Vec<(&'static str, &'static str)> {
+    apps.iter()
+        .flat_map(|&app| {
+            app_cases(app)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .into_iter()
+                .map(move |c| (app, c.name))
+        })
+        .collect()
 }
 
 /// The rank programs of `app` under `ov`: its two-rank ST variant when
@@ -482,7 +514,7 @@ mod tests {
 
     #[test]
     fn builds_every_app_and_case() {
-        for app in ["metbench", "btmz", "siesta", "synthetic"] {
+        for &app in APPS {
             let (progs, case) = build_app(
                 app,
                 "A",

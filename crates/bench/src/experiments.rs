@@ -22,7 +22,7 @@ use mtb_core::{ControllerConfig, TwoLevelController};
 use mtb_mpisim::comm::LatencyModel;
 use mtb_mpisim::engine::RunResult;
 use mtb_mpisim::program::Program;
-use mtb_oskernel::{CtxAddr, KernelConfig, NoiseSource, WaitPolicy};
+use mtb_oskernel::{core_pairs, CtxAddr, KernelConfig, NoiseSource, WaitPolicy};
 use mtb_smtsim::calibrate::calibrated_workload;
 use mtb_smtsim::decode::{cycles_per_slice, slice_len};
 use mtb_smtsim::inst::StreamSpec;
@@ -32,7 +32,7 @@ use mtb_smtsim::perfmodel::{MesoConfig, ShareLaw};
 use mtb_smtsim::{CoreConfig, HwPriority, PrivilegeLevel, SmtCore};
 use mtb_trace::energy::{measure, EnergyModel};
 use mtb_trace::stats::Summary;
-use mtb_trace::{cycles_to_seconds, render_gantt, GanttConfig, Table};
+use mtb_trace::{cycles_to_seconds, improvement_pct, render_gantt, GanttConfig, Table};
 use mtb_workloads::btmz::{contiguous_partition, zone_sizes, BtMzConfig};
 use mtb_workloads::loads;
 use mtb_workloads::spmz::SpMzConfig;
@@ -232,20 +232,12 @@ fn sim(run: StaticRun<'_>) -> RunResult {
 fn predictor_priorities(placement: &[CtxAddr], work: &[u64]) -> Vec<PrioritySetting> {
     let profile = loads::btmz_load(0).profile;
     let mut prios = vec![PrioritySetting::Default; placement.len()];
-    for (a, ctx) in placement.iter().enumerate() {
-        let Some(b) = (a + 1..placement.len()).find(|&b| placement[b].core == ctx.core) else {
-            continue;
-        };
+    for (a, b) in core_pairs(placement) {
         let (pa, pb, _) = best_pair(&profile, &profile, work[a], work[b], 2);
         prios[a] = PrioritySetting::ProcFs(pa.value());
         prios[b] = PrioritySetting::ProcFs(pb.value());
     }
     prios
-}
-
-/// Percent by which `cycles` beats `reference`.
-fn gain_pct(reference: u64, cycles: u64) -> f64 {
-    100.0 * (reference as f64 - cycles as f64) / reference as f64
 }
 
 /// Table I: hardware thread priorities, privilege levels and or-nop
@@ -395,7 +387,7 @@ fn md_rows(paper: &[(&str, f64, f64)], runs: &[(Case, RunResult)]) -> String {
             continue;
         };
         let ours = cycles_to_seconds(run.total_cycles);
-        let imp = gain_pct(reference, run.total_cycles);
+        let imp = improvement_pct(reference, run.total_cycles);
         out.push_str(&format!(
             "| {name} | {paper_exec:.2}s | {ours:.2}s | {paper_imp:+.2}% | {imp:+.2}% |\n"
         ));
@@ -469,7 +461,7 @@ fn report_md() {
                 .1
                 .total_cycles
         };
-        gain_pct(cycles("A"), cycles(name))
+        improvement_pct(cycles("A"), cycles(name))
     };
     let verdict = |ok: bool| if ok { "REPRODUCED" } else { "DEVIATES" };
     let bt_d = imp(&bt_runs, "D");
@@ -644,7 +636,7 @@ fn dynamic() {
             "{label:<46} exec {:8.2}s  imbalance {:5.2}%  vs reference {:+.2}%",
             cycles_to_seconds(r.total_cycles),
             r.metrics.imbalance_pct,
-            gain_pct(reference.total_cycles, r.total_cycles),
+            improvement_pct(reference.total_cycles, r.total_cycles),
         );
     };
     println!("SIESTA-like (40 iterations, moving bottleneck):");
@@ -679,7 +671,7 @@ fn dynamic() {
         "  reference: {:.2}s | two-level: {:.2}s ({:+.2}%, {} adjustments, {} remaps)",
         cycles_to_seconds(mref.total_cycles),
         cycles_to_seconds(mdyn.total_cycles),
-        gain_pct(mref.total_cycles, mdyn.total_cycles),
+        improvement_pct(mref.total_cycles, mdyn.total_cycles),
         mctl.adjustments(),
         mctl.remaps(),
     );
@@ -847,7 +839,7 @@ fn redistribution() {
             "{label:<44} exec {:7.2}s  imbalance {:5.2}%  vs reference {:+.1}%",
             cycles_to_seconds(cycles),
             imb,
-            gain_pct(ref_cycles, cycles)
+            improvement_pct(ref_cycles, cycles)
         );
     };
     let (lpt_run, combined, move_cost) = redistribute(&balanced_part);
@@ -1009,7 +1001,7 @@ fn cluster() {
             "{label:<44} exec {:7.2}s  imbalance {:5.2}%  vs striped {:+.1}%",
             cycles_to_seconds(r.total_cycles),
             r.metrics.imbalance_pct,
-            gain_pct(striped.total_cycles, r.total_cycles),
+            improvement_pct(striped.total_cycles, r.total_cycles),
         );
     }
     println!(
@@ -1083,7 +1075,7 @@ fn control() {
         let dynamic = execute_with(StaticRun::new(&progs, cfg.placement()), &mut balancer)
             .expect("experiment configurations are valid on their kernel");
 
-        let pct = |r: &RunResult| gain_pct(reference.total_cycles, r.total_cycles);
+        let pct = |r: &RunResult| improvement_pct(reference.total_cycles, r.total_cycles);
         println!("{name}:");
         println!(
             "  reference:                {:7.2}s (imbalance {:.2}%)",
@@ -1129,11 +1121,11 @@ fn seeds() {
             ..Default::default()
         };
         let progs = cfg.programs();
-        let a = run_case(&progs, &cases[0]).total_cycles as f64;
-        let c = run_case(&progs, &cases[2]).total_cycles as f64;
-        let d = run_case(&progs, &cases[3]).total_cycles as f64;
-        let ic = 100.0 * (a - c) / a;
-        let id = 100.0 * (a - d) / a;
+        let a = run_case(&progs, &cases[0]).total_cycles;
+        let c = run_case(&progs, &cases[2]).total_cycles;
+        let d = run_case(&progs, &cases[3]).total_cycles;
+        let ic = improvement_pct(a, c);
+        let id = improvement_pct(a, d);
         if ic > 0.0 {
             c_wins += 1;
         }
@@ -1214,7 +1206,7 @@ fn scaling() {
             format!("{:.2}", cycles_to_seconds(balanced.total_cycles)),
             format!(
                 "{:+.1}%",
-                gain_pct(reference.total_cycles, balanced.total_cycles)
+                improvement_pct(reference.total_cycles, balanced.total_cycles)
             ),
             format!(
                 "{:.1}% -> {:.1}%",
@@ -1274,7 +1266,10 @@ fn waitpolicy() {
                     .with_priorities(case.priorities.clone())
                     .with_wait_policy(policy));
                 row.push(format!("{:.2}", cycles_to_seconds(r.total_cycles)));
-                row.push(format!("{:+.1}%", gain_pct(reference, r.total_cycles)));
+                row.push(format!(
+                    "{:+.1}%",
+                    improvement_pct(reference, r.total_cycles)
+                ));
             }
             t.row_owned(row);
         }

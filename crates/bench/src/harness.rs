@@ -445,6 +445,25 @@ impl ControllerStats {
     }
 }
 
+/// Simulate `run` under a fresh [`TwoLevelController`] primed from its
+/// programs (`for_programs`) with tunables `cfg`, uncached. The result's
+/// notes end with the controller's [`ControllerStats::note`], as a
+/// dynamic run's record stores them.
+pub fn run_controller(
+    run: StaticRun<'_>,
+    cfg: &mtb_core::ControllerConfig,
+) -> Result<(RunResult, ControllerStats), BalanceError> {
+    let mut ctl = TwoLevelController::for_programs(run.programs, &run.placement, *cfg);
+    let mut result = mtb_core::execute_with(run, &mut ctl)?;
+    let stats = ControllerStats {
+        adjustments: ctl.adjustments(),
+        reverts: ctl.reverts(),
+        remaps: ctl.remaps(),
+    };
+    result.notes.push(stats.note());
+    Ok((result, stats))
+}
+
 /// One timeline, flattened for the record: `(start, end, state-index)`
 /// triples, state indexed into [`ProcState::ALL`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1234,14 +1253,7 @@ impl SweepRunner {
             placement: run.placement.clone(),
             priorities: run.priorities.clone(),
         };
-        let mut ctl = TwoLevelController::for_programs(run.programs, &run.placement, *cfg);
-        let mut result = mtb_core::execute_with(run, &mut ctl)?;
-        let stats = ControllerStats {
-            adjustments: ctl.adjustments(),
-            reverts: ctl.reverts(),
-            remaps: ctl.remaps(),
-        };
-        result.notes.push(stats.note());
+        let (result, stats) = run_controller(run, cfg)?;
         let wall = t0.elapsed().as_secs_f64();
         self.store_record(hash, &RunRecord::from_run(&case, &result, wall));
         self.account(false, wall);

@@ -10,13 +10,12 @@
 //! `MTB-PRIO-INVERT` prediction becomes an Error, because then the
 //! analyzer no longer reproduces the paper's hazard.
 
-use crate::cli::{build_app, AppOverrides};
+use crate::cli::{app_targets, build_app, AppOverrides, APPS};
 use crate::harness::{fnv1a, RunRecord, SweepOptions, SweepRunner};
 use crate::json::Json;
 use mtb_core::paper_cases::Case;
-use mtb_core::policy::PrioritySetting;
 use mtb_oskernel::KernelFlavour;
-use mtb_verify::{codes, CaseSpec, Diagnostic, PrioritySpec, Report, Severity};
+use mtb_verify::{codes, CaseSpec, Diagnostic, Report, Severity};
 use mtb_workloads::MetBenchConfig;
 
 /// The paper's intentional inversion configurations: `(app, case)`
@@ -24,24 +23,11 @@ use mtb_workloads::MetBenchConfig;
 pub const EXPECTED_INVERSIONS: &[(&str, &str)] =
     &[("metbench", "D"), ("btmz", "B"), ("siesta", "D")];
 
-/// Every (app, case) target `--all-cases` lints.
-pub const ALL_TARGETS: &[(&str, &str)] = &[
-    ("metbench", "A"),
-    ("metbench", "B"),
-    ("metbench", "C"),
-    ("metbench", "D"),
-    ("btmz", "ST"),
-    ("btmz", "A"),
-    ("btmz", "B"),
-    ("btmz", "C"),
-    ("btmz", "D"),
-    ("siesta", "ST"),
-    ("siesta", "A"),
-    ("siesta", "B"),
-    ("siesta", "C"),
-    ("siesta", "D"),
-    ("synthetic", "A"),
-];
+/// Every (app, case) target `--all-cases` lints: each app's paper cases,
+/// ST rows included.
+pub fn all_targets() -> Vec<(&'static str, &'static str)> {
+    app_targets(APPS)
+}
 
 /// A [`Case`] as the verifier sees it (paper cases always run on the
 /// patched kernel).
@@ -49,15 +35,7 @@ pub fn case_spec(app: &str, case: &Case) -> CaseSpec {
     CaseSpec {
         name: format!("{app}/{}", case.name),
         placement: case.placement.clone(),
-        priorities: case
-            .priorities
-            .iter()
-            .map(|p| match *p {
-                PrioritySetting::Default => PrioritySpec::Default,
-                PrioritySetting::ProcFs(v) => PrioritySpec::ProcFs(v),
-                PrioritySetting::OrNop(v, lvl) => PrioritySpec::OrNop(v, lvl),
-            })
-            .collect(),
+        priorities: case.priorities.clone(),
         flavour: KernelFlavour::Patched,
     }
 }
@@ -256,16 +234,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_collapse_code_matches_between_runtime_and_linter() {
-        // The runtime note in run records and the static lint must carry
-        // the same stable code, so tooling can match either source.
-        assert_eq!(
-            mtb_oskernel::SHARD_COLLAPSE_CODE,
-            mtb_verify::codes::SHARD_COLLAPSE
-        );
-    }
-
-    #[test]
     fn lint_code_catalog_matches_the_documented_table() {
         // EXPERIMENTS.md's lint-code catalog and `codes::ALL` must list
         // exactly the same codes — a new code without documentation (or
@@ -300,7 +268,7 @@ mod tests {
 
     #[test]
     fn every_paper_case_lints_without_errors() {
-        let outcomes = lint_targets(ALL_TARGETS).unwrap();
+        let outcomes = lint_targets(&all_targets()).unwrap();
         for o in &outcomes {
             assert!(
                 !o.report.has_errors(),

@@ -16,19 +16,18 @@
 //! configurations the way the machine does, because `mtb suggest` is
 //! only as good as its ordering.
 
-use crate::cli::{build_app, AppOverrides};
+use crate::cli::{build_app, smt_cases, AppOverrides, APPS};
 use crate::json::Json;
 use mtb_core::paper_cases::Case;
 use mtb_core::policy::PrioritySetting;
-use mtb_oskernel::KernelFlavour;
-use mtb_verify::plan::core_groups;
+use mtb_oskernel::{core_groups, KernelFlavour};
 use mtb_verify::{
-    codes, enumerate_plans, infer_profiles, predict, CaseSpec, Plan, Prediction, PrioritySpec,
-    RankProfile,
+    codes, enumerate_plans, infer_profiles, predict, CaseSpec, Plan, Prediction, RankProfile,
 };
 
-/// Apps the suggestion search and the calibration harness cover.
-pub const SUGGEST_APPS: &[&str] = &["metbench", "btmz", "siesta", "synthetic"];
+/// Apps the suggestion search and the calibration harness cover: all of
+/// them.
+pub const SUGGEST_APPS: &[&str] = APPS;
 
 /// Minimum acceptable Spearman rank correlation between predicted and
 /// simulated orderings (the CI calibration gate).
@@ -80,7 +79,7 @@ fn plan_case_spec(app: &str, plan: &Plan) -> CaseSpec {
         priorities: plan
             .priorities
             .iter()
-            .map(|&p| PrioritySpec::ProcFs(p))
+            .map(|&p| PrioritySetting::ProcFs(p))
             .collect(),
         flavour: KernelFlavour::Patched,
     }
@@ -183,35 +182,13 @@ impl AppValidation {
     }
 }
 
-/// Effective hardware priority of a paper-case setting on the patched
-/// kernel (the only flavour the paper cases run under).
-fn effective_priority(p: &PrioritySetting) -> u8 {
-    match *p {
-        PrioritySetting::Default => 4,
-        PrioritySetting::ProcFs(v) | PrioritySetting::OrNop(v, _) => v,
-    }
-}
-
-fn paper_cases_for(app: &str) -> Vec<Case> {
-    use mtb_core::paper_cases as pc;
-    match app {
-        "metbench" => pc::metbench_cases(),
-        "btmz" => pc::btmz_cases(),
-        "siesta" => pc::siesta_cases(),
-        // The synthetic app has no paper table; its reference case comes
-        // from `build_app`.
-        _ => Vec::new(),
-    }
-}
-
-/// Build the evaluation ladder for one app: every paper case plus the
-/// search's best three and worst surviving plans (deduplicated against
-/// the paper cases by effective configuration).
-fn evaluation_ladder(app: &str, suggestion: &Suggestion, reference: &Case) -> Vec<Case> {
-    let mut ladder = paper_cases_for(app);
-    if ladder.is_empty() {
-        ladder.push(reference.clone());
-    }
+/// Build the evaluation ladder for one app: every SMT paper case (the
+/// synthetic app's reference case) plus the search's best three and
+/// worst surviving plans (deduplicated against the paper cases by
+/// effective configuration; on the patched kernel the paper cases run
+/// under, a setting's effective priority is the one it requests).
+fn evaluation_ladder(app: &str, suggestion: &Suggestion) -> Result<Vec<Case>, String> {
+    let mut ladder = smt_cases(app)?;
     let config_key = |placement: &[mtb_oskernel::CtxAddr], prios: &[u8]| {
         let mut groups: Vec<(Vec<usize>, Vec<u8>)> = core_groups(placement)
             .into_iter()
@@ -226,7 +203,11 @@ fn evaluation_ladder(app: &str, suggestion: &Suggestion, reference: &Case) -> Ve
     let mut seen: Vec<String> = ladder
         .iter()
         .map(|c| {
-            let prios: Vec<u8> = c.priorities.iter().map(effective_priority).collect();
+            let prios: Vec<u8> = c
+                .priorities
+                .iter()
+                .map(PrioritySetting::requested)
+                .collect();
             config_key(&c.placement, &prios)
         })
         .collect();
@@ -255,7 +236,7 @@ fn evaluation_ladder(app: &str, suggestion: &Suggestion, reference: &Case) -> Ve
         });
         name_idx += 1;
     }
-    ladder
+    Ok(ladder)
 }
 
 /// Spearman rank correlation of two equally-long samples, with average
@@ -306,14 +287,18 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
 /// Run the calibration harness for one app: simulate the evaluation
 /// ladder and correlate predicted vs simulated orderings.
 pub fn validate_app(app: &str, ov: AppOverrides) -> Result<AppValidation, String> {
-    let (programs, reference) = build_app(app, default_case_name(app), ov)?;
+    let (programs, _) = build_app(app, default_case_name(app), ov)?;
     let profiles = infer_profiles(&programs);
     let suggestion = suggest(app, ov)?;
-    let ladder = evaluation_ladder(app, &suggestion, &reference);
+    let ladder = evaluation_ladder(app, &suggestion)?;
 
     let mut points = Vec::new();
     for case in &ladder {
-        let prios: Vec<u8> = case.priorities.iter().map(effective_priority).collect();
+        let prios: Vec<u8> = case
+            .priorities
+            .iter()
+            .map(PrioritySetting::requested)
+            .collect();
         let predicted = predict(&profiles, &case.placement, &prios)
             .ok_or_else(|| format!("{app}/{}: static model cannot predict", case.name))?
             .makespan;
@@ -329,11 +314,7 @@ pub fn validate_app(app: &str, ov: AppOverrides) -> Result<AppValidation, String
     let ys: Vec<f64> = points.iter().map(|p| p.simulated).collect();
     let rho = spearman(&xs, &ys);
 
-    let paper_labels: Vec<&str> = paper_cases_for(app)
-        .iter()
-        .map(|c| c.name)
-        .chain(std::iter::once(reference.name))
-        .collect();
+    let paper_labels: Vec<&str> = smt_cases(app)?.iter().map(|c| c.name).collect();
     let best_paper_sim = points
         .iter()
         .filter(|p| paper_labels.contains(&p.label.as_str()))

@@ -3,7 +3,7 @@
 //! For each paper app this runs three configurations and compares them:
 //! the identity baseline (case A: file-order placement, every priority
 //! MEDIUM), the best of the paper's hand-tuned static cases, and the v2
-//! two-level controller ([`TwoLevelController`]) starting from the
+//! two-level controller ([`TwoLevelController`](mtb_core::TwoLevelController)) starting from the
 //! identity configuration. The controller is accepted when it matches or
 //! beats the best static setting (within [`STATIC_TOLERANCE`]) and never
 //! reproduces the case-D inversion (ending up *slower* than the
@@ -17,16 +17,16 @@
 //! gate; nightly diffs the deterministic fields of the full-scale report
 //! against the committed `DYNAMIC_sim.json`.
 
-use crate::cli::{build_app, AppOverrides};
-use crate::harness::{ControllerStats, SweepRunner};
+use crate::cli::{build_app, smt_cases, AppOverrides, PAPER_APPS};
+use crate::harness::{run_controller, ControllerStats, SweepRunner};
 use crate::json::Json;
-use mtb_core::balance::{execute_with, StaticRun};
-use mtb_core::paper_cases::{self, Case};
-use mtb_core::{ControllerConfig, TwoLevelController};
+use mtb_core::balance::StaticRun;
+use mtb_core::paper_cases::Case;
+use mtb_core::ControllerConfig;
 use mtb_mpisim::program::Program;
 
 /// Apps the dynamic validation covers (the paper's three).
-pub const DYNAMIC_APPS: &[&str] = &["metbench", "btmz", "siesta"];
+pub const DYNAMIC_APPS: &[&str] = PAPER_APPS;
 
 /// Acceptance slack against the best static setting: the controller must
 /// land within 2% of it (same margin the suggest calibration gate uses).
@@ -74,18 +74,6 @@ impl DynamicRow {
     }
 }
 
-/// The paper's hand-tuned MT cases for one app (the static ladder the
-/// controller competes against; ST rows use different programs and are
-/// not comparable).
-fn paper_cases_for(app: &str) -> Vec<Case> {
-    match app {
-        "metbench" => paper_cases::metbench_cases(),
-        "btmz" => paper_cases::btmz_cases(),
-        "siesta" => paper_cases::siesta_cases(),
-        _ => Vec::new(),
-    }
-}
-
 /// Replay the dynamic run uncached at `threads` intra-run workers and
 /// return `(record_hash, total_cycles)`. The record carries the same
 /// `controller:` note [`SweepRunner::run_dynamic`] stores, so the hash is
@@ -99,14 +87,7 @@ fn dynamic_replay(
     let run = StaticRun::new(programs, reference.placement.clone())
         .with_priorities(reference.priorities.clone())
         .with_threads(threads);
-    let mut ctl = TwoLevelController::for_programs(programs, &reference.placement, *cfg);
-    let mut result = execute_with(run, &mut ctl).map_err(|e| e.to_string())?;
-    let stats = ControllerStats {
-        adjustments: ctl.adjustments(),
-        reverts: ctl.reverts(),
-        remaps: ctl.remaps(),
-    };
-    result.notes.push(stats.note());
+    let (result, _) = run_controller(run, cfg).map_err(|e| e.to_string())?;
     let label = Case {
         name: "dynamic",
         placement: reference.placement.clone(),
@@ -131,7 +112,9 @@ pub fn evaluate_app(
 
     let mut best_static_case = reference.name.to_string();
     let mut best_static_cycles = identity;
-    for case in paper_cases_for(app) {
+    // The paper's hand-tuned SMT cases: the static ladder the controller
+    // competes against.
+    for case in smt_cases(app)? {
         let r = crate::run_case(&programs, &case);
         if r.total_cycles < best_static_cycles {
             best_static_cycles = r.total_cycles;

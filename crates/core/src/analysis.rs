@@ -7,8 +7,8 @@
 
 use crate::paper_cases::Case;
 use mtb_mpisim::engine::RunResult;
-use mtb_trace::cycles_to_seconds;
 use mtb_trace::table::{secs, Table};
+use mtb_trace::{cycles_to_seconds, improvement_pct};
 
 /// One process row of a characterization table.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,12 +93,12 @@ pub fn improvements_over(reference: &str, runs: &[(Case, RunResult)]) -> Vec<(St
     let Some(ref_run) = runs.iter().find(|(c, _)| c.name == reference) else {
         return Vec::new();
     };
-    let ref_cycles = ref_run.1.total_cycles as f64;
+    let ref_cycles = ref_run.1.total_cycles;
     runs.iter()
         .map(|(c, r)| {
             (
                 c.name.to_string(),
-                100.0 * (ref_cycles - r.total_cycles as f64) / ref_cycles,
+                improvement_pct(ref_cycles, r.total_cycles),
             )
         })
         .collect()

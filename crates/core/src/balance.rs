@@ -212,16 +212,8 @@ impl<'a> StaticRun<'a> {
 
     /// The run expressed as a `mtb-verify` case for pre-flight linting.
     pub fn as_case_spec(&self) -> mtb_verify::CaseSpec {
-        let mut priorities: Vec<mtb_verify::PrioritySpec> = self
-            .priorities
-            .iter()
-            .map(|p| match *p {
-                PrioritySetting::Default => mtb_verify::PrioritySpec::Default,
-                PrioritySetting::ProcFs(v) => mtb_verify::PrioritySpec::ProcFs(v),
-                PrioritySetting::OrNop(v, lvl) => mtb_verify::PrioritySpec::OrNop(v, lvl),
-            })
-            .collect();
-        priorities.resize(self.programs.len(), mtb_verify::PrioritySpec::Default);
+        let mut priorities = self.priorities.clone();
+        priorities.resize(self.programs.len(), PrioritySetting::Default);
         mtb_verify::CaseSpec {
             name: "run".into(),
             placement: self.placement.clone(),

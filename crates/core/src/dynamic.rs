@@ -229,14 +229,7 @@ impl DynamicBalancer {
     /// Build a balancer for ranks placed as `placement` (same vector the
     /// engine uses).
     pub fn new(placement: &[mtb_oskernel::CtxAddr], cfg: DynamicConfig) -> DynamicBalancer {
-        let mut pairs = Vec::new();
-        for i in 0..placement.len() {
-            for j in (i + 1)..placement.len() {
-                if placement[i].core == placement[j].core {
-                    pairs.push((i, j));
-                }
-            }
-        }
+        let pairs = mtb_oskernel::core_pairs(placement);
         DynamicBalancer {
             cfg,
             pair_state: vec![PairState::default(); pairs.len()],

@@ -23,9 +23,10 @@
 //!   lightest, Section VII-B's mapping argument).
 //! * [`observe`] — epoch-window recording for offline analysis of
 //!   dynamic behaviour.
-//! * [`remap`] — online rank remapping: the Section VII-B pairing
-//!   argument applied at run time via process migration, composable with
-//!   the dynamic balancer.
+//! * [`remap`] — cross-core rank remapping (the Section VII-B pairing
+//!   argument applied at run time via process migration, which the
+//!   two-level controller's level 1 calls) and [`remap::Composite`],
+//!   which runs several observers on every epoch.
 //! * [`redistribution`] — the related-work baseline (Section III):
 //!   METIS/LPT-style data repartitioning, with its movement cost, so the
 //!   two approaches can be compared head-to-head (EXT-4).

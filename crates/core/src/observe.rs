@@ -5,8 +5,8 @@
 //! behaviour (which rank was the bottleneck when, how much the balance
 //! moved between iterations). [`ProgressModel`] turns the static plan's
 //! per-epoch work expectation into an online progress metric: instructions
-//! retired so far vs. where the plan says each rank should be. Composable
-//! with the policies through [`crate::remap::Composite`].
+//! retired so far vs. where the plan says each rank should be.
+//! [`crate::remap::Composite`] runs a recorder beside a policy.
 
 use mtb_mpisim::engine::{Observer, RankWindow};
 use mtb_oskernel::Machine;

@@ -1,35 +1,9 @@
-//! Priority settings and their application.
+//! Applying priority settings. The request type itself,
+//! [`PrioritySetting`], lives beside the interface rules that judge it in
+//! [`mtb_oskernel::priority_iface`]; it is re-exported here.
 
+pub use mtb_oskernel::PrioritySetting;
 use mtb_oskernel::{Machine, PriorityError};
-use mtb_smtsim::PrivilegeLevel;
-
-/// How one rank's hardware priority is configured for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrioritySetting {
-    /// Leave the kernel default (MEDIUM).
-    Default,
-    /// Write `/proc/<pid>/hmt_priority` (needs the patched kernel);
-    /// valid values 1..=6.
-    ProcFs(u8),
-    /// Execute the magic or-nop at the given privilege level (works on any
-    /// kernel; user space reaches only 2..=4 this way).
-    OrNop(u8, PrivilegeLevel),
-}
-
-impl PrioritySetting {
-    /// Shorthand for the common patched-kernel path.
-    pub fn procfs(v: u8) -> PrioritySetting {
-        PrioritySetting::ProcFs(v)
-    }
-
-    /// The numeric priority this setting requests (4 for `Default`).
-    pub fn requested(&self) -> u8 {
-        match self {
-            PrioritySetting::Default => 4,
-            PrioritySetting::ProcFs(v) | PrioritySetting::OrNop(v, _) => *v,
-        }
-    }
-}
 
 /// Apply one setting per rank (pid = rank). Fails fast on the first
 /// rejected request — a rejected priority means the experiment
@@ -55,7 +29,7 @@ mod tests {
     use super::*;
     use mtb_oskernel::{CtxAddr, KernelConfig};
     use mtb_smtsim::chip::build_cores;
-    use mtb_smtsim::HwPriority;
+    use mtb_smtsim::{HwPriority, PrivilegeLevel};
 
     fn machine(kernel: KernelConfig) -> Machine {
         let mut m = Machine::new(build_cores(2, false), kernel);
@@ -90,15 +64,5 @@ mod tests {
         let mut m = machine(KernelConfig::vanilla());
         let err = apply_priorities(&mut m, &[PrioritySetting::ProcFs(5)]);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn requested_reports_the_value() {
-        assert_eq!(PrioritySetting::Default.requested(), 4);
-        assert_eq!(PrioritySetting::procfs(6).requested(), 6);
-        assert_eq!(
-            PrioritySetting::OrNop(2, PrivilegeLevel::User).requested(),
-            2
-        );
     }
 }

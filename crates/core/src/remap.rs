@@ -1,22 +1,19 @@
-//! Online rank remapping.
+//! Cross-core rank remapping and observer composition.
 //!
-//! Section VII-B's mapping argument (pair the heaviest rank with the
-//! lightest), applied *at run time*: an observer that watches per-epoch
-//! compute times and, once the picture stabilizes, migrates ranks between
-//! SMT contexts so that heavy and light ranks share cores. Combines with
-//! the [`DynamicBalancer`](crate::dynamic::DynamicBalancer) through
-//! [`Composite`] — remapping fixes *which* ranks share a core, priorities
-//! fix *how much* of it each one gets.
+//! [`realize_placement`] carries out Section VII-B's mapping argument
+//! (pair the heaviest rank with the lightest) at run time: it migrates
+//! and swaps ranks until a desired placement holds. The two-level
+//! controller's level 1 ([`TwoLevelController`](crate::dynamic::TwoLevelController))
+//! calls it when intra-core priorities saturate. [`Composite`] runs
+//! several observers on every epoch, e.g. a policy and a recorder.
 
-use crate::mapper::pair_by_load;
 use mtb_mpisim::engine::{Observer, RankWindow};
 use mtb_oskernel::{CtxAddr, Machine};
 
 /// Realize a desired placement with swaps/migrations. Iterates: find a
 /// rank sitting on the wrong context and swap it with the rank (if any)
 /// occupying its desired seat, or migrate if the seat is free. Returns
-/// the number of migrations/swaps performed. Used by both the one-shot
-/// [`AdaptiveMapper`] and the two-level controller's level-1 remap.
+/// the number of migrations/swaps performed.
 pub fn realize_placement(machine: &mut Machine, desired: &[CtxAddr]) -> usize {
     let n = desired.len();
     let mut moves = 0;
@@ -40,103 +37,8 @@ pub fn realize_placement(machine: &mut Machine, desired: &[CtxAddr]) -> usize {
     moves
 }
 
-/// Configuration of the adaptive mapper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemapConfig {
-    /// Epochs of observation before the first (and only) remap decision.
-    pub settle: usize,
-    /// Minimum heavy/light imbalance (max/min smoothed compute) before a
-    /// remap is considered worthwhile.
-    pub min_ratio: f64,
-    /// EWMA smoothing of the observations.
-    pub ewma: f64,
-}
-
-impl Default for RemapConfig {
-    fn default() -> Self {
-        RemapConfig {
-            settle: 3,
-            min_ratio: 1.15,
-            ewma: 0.5,
-        }
-    }
-}
-
-/// The observer. It remaps at most once per run: repeated migration would
-/// thrash caches for little benefit, and one good pairing is what the
-/// paper's manual cases establish.
-#[derive(Debug)]
-pub struct AdaptiveMapper {
-    cfg: RemapConfig,
-    smooth: Vec<f64>,
-    epochs_seen: usize,
-    remapped: bool,
-    /// Number of migrations performed (diagnostics).
-    migrations: usize,
-}
-
-impl AdaptiveMapper {
-    /// A mapper for `n_ranks` ranks.
-    pub fn new(n_ranks: usize, cfg: RemapConfig) -> AdaptiveMapper {
-        AdaptiveMapper {
-            cfg,
-            smooth: vec![0.0; n_ranks],
-            epochs_seen: 0,
-            remapped: false,
-            migrations: 0,
-        }
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> usize {
-        self.migrations
-    }
-
-    /// Has the one-shot remap happened?
-    pub fn remapped(&self) -> bool {
-        self.remapped
-    }
-}
-
-impl Observer for AdaptiveMapper {
-    fn on_epoch(&mut self, _epoch: usize, windows: &[RankWindow], machine: &mut Machine) {
-        for w in windows {
-            let x = w.compute as f64;
-            let s = &mut self.smooth[w.rank];
-            *s = if *s == 0.0 {
-                x
-            } else {
-                self.cfg.ewma * *s + (1.0 - self.cfg.ewma) * x
-            };
-        }
-        self.epochs_seen += 1;
-        if self.remapped || self.epochs_seen < self.cfg.settle {
-            return;
-        }
-        let max = self.smooth.iter().cloned().fold(0.0, f64::max);
-        let min = self.smooth.iter().cloned().fold(f64::INFINITY, f64::min);
-        if min <= 0.0 || max / min < self.cfg.min_ratio {
-            return;
-        }
-
-        // Desired pairing from observed loads.
-        let loads: Vec<u64> = self.smooth.iter().map(|&s| s as u64).collect();
-        let n = loads.len();
-        if n % 2 != 0 {
-            return; // odd rank counts are not pairable
-        }
-        let cores = machine.num_contexts() / 2;
-        if n > cores * 2 {
-            return;
-        }
-        let desired = pair_by_load(&loads, cores);
-        self.remapped = true;
-        self.migrations += realize_placement(machine, &desired);
-    }
-}
-
-/// Run several observers in sequence on every epoch (e.g. the adaptive
-/// mapper first, then the priority balancer).
+/// Run several observers in sequence on every epoch (e.g. a priority
+/// policy, then a window recorder).
 pub struct Composite<'a> {
     observers: Vec<&'a mut dyn Observer>,
 }
@@ -159,86 +61,41 @@ impl Observer for Composite<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::{execute, execute_with, StaticRun};
-    use crate::dynamic::DynamicBalancer;
-    use mtb_oskernel::CtxAddr;
+    use crate::balance::{execute_with, StaticRun};
 
-    /// Two heavy ranks start on the same core (the worst pairing); the
-    /// adaptive mapper must discover it and separate them — the paper's
-    /// heavy-with-light pairing. (Pairing alone barely changes MetBench's
-    /// runtime at equal priorities; it *enables* the priority gains, which
-    /// the composite test below demonstrates.)
-    #[test]
-    fn adaptive_mapper_separates_the_heavy_pair() {
-        let progs = mtb_workloads::metbench::MetBenchConfig {
-            iterations: 30,
-            scale: 3e-3,
-            heavy_ranks: vec![2, 3], // heavies adjacent: identity pairing is bad
-            ..Default::default()
+    /// Logs `(epoch, id)` into a shared journal each time it fires.
+    struct Journal<'a> {
+        id: usize,
+        log: &'a std::cell::RefCell<Vec<(usize, usize)>>,
+    }
+
+    impl Observer for Journal<'_> {
+        fn on_epoch(&mut self, epoch: usize, _: &[RankWindow], _: &mut Machine) {
+            self.log.borrow_mut().push((epoch, self.id));
         }
-        .programs();
-        let placement: Vec<CtxAddr> = (0..4).map(CtxAddr::from_cpu).collect();
-
-        // Drive the run and capture the final placement through a probe
-        // observer layered after the mapper.
-        struct Probe(Vec<CtxAddr>);
-        impl Observer for Probe {
-            fn on_epoch(&mut self, _: usize, w: &[RankWindow], m: &mut Machine) {
-                self.0 = (0..w.len()).map(|r| m.pcb(r).unwrap().affinity).collect();
-            }
-        }
-        let mut mapper = AdaptiveMapper::new(4, RemapConfig::default());
-        let mut probe = Probe(Vec::new());
-        let mut combo = Composite::new(vec![&mut mapper, &mut probe]);
-        let _ = execute_with(StaticRun::new(&progs, placement), &mut combo).unwrap();
-
-        assert!(mapper.remapped());
-        assert!(mapper.migrations() > 0);
-        let final_placement = probe.0;
-        assert_ne!(
-            final_placement[2].core, final_placement[3].core,
-            "the heavy ranks must end up on different cores: {final_placement:?}"
-        );
     }
 
     #[test]
-    fn mapper_leaves_balanced_runs_alone() {
-        let progs = mtb_workloads::synthetic::SyntheticConfig {
-            skew: 1.0,
-            base_work: 10_000_000,
-            iterations: 8,
-            ..Default::default()
-        }
-        .programs();
+    fn composite_fires_observers_in_order_every_epoch() {
+        let progs = mtb_workloads::metbench::MetBenchConfig::tiny().programs();
         let placement: Vec<CtxAddr> = (0..4).map(CtxAddr::from_cpu).collect();
-        let mut mapper = AdaptiveMapper::new(4, RemapConfig::default());
-        let _ = execute_with(StaticRun::new(&progs, placement), &mut mapper).unwrap();
-        assert_eq!(mapper.migrations(), 0, "no reason to touch a balanced run");
-    }
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut first = Journal { id: 0, log: &log };
+        let mut second = Journal { id: 1, log: &log };
+        let mut combo = Composite::new(vec![&mut first, &mut second]);
+        execute_with(StaticRun::new(&progs, placement), &mut combo).unwrap();
 
-    #[test]
-    fn composite_runs_mapper_then_balancer() {
-        let progs = mtb_workloads::metbench::MetBenchConfig {
-            iterations: 30,
-            scale: 3e-3,
-            heavy_ranks: vec![2, 3],
-            ..Default::default()
+        let log = log.into_inner();
+        assert!(!log.is_empty() && log.len() % 2 == 0, "{log:?}");
+        for fired in log.chunks(2) {
+            assert_eq!(fired[0].0, fired[1].0, "both fire on each epoch: {log:?}");
+            assert_eq!(
+                (fired[0].1, fired[1].1),
+                (0, 1),
+                "in the given order: {log:?}"
+            );
         }
-        .programs();
-        let placement: Vec<CtxAddr> = (0..4).map(CtxAddr::from_cpu).collect();
-
-        let reference = execute(StaticRun::new(&progs, placement.clone())).unwrap();
-
-        let mut mapper = AdaptiveMapper::new(4, RemapConfig::default());
-        let mut balancer = DynamicBalancer::with_defaults(&placement);
-        let mut combo = Composite::new(vec![&mut mapper, &mut balancer]);
-        let combined = execute_with(StaticRun::new(&progs, placement), &mut combo).unwrap();
-
-        assert!(
-            (combined.total_cycles as f64) < reference.total_cycles as f64 * 0.92,
-            "mapping + priorities must beat the reference clearly: {} vs {}",
-            combined.total_cycles,
-            reference.total_cycles
-        );
+        let epochs: Vec<usize> = log.iter().step_by(2).map(|&(e, _)| e).collect();
+        assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{epochs:?}");
     }
 }

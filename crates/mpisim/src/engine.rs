@@ -220,8 +220,10 @@ impl std::error::Error for SimError {
 /// Find a cycle in the wait-for graph `waits` (edge `r -> waits[r][i]`).
 /// Returns the ranks along the first cycle found, in wait order, or an
 /// empty vec if the graph is acyclic. Self-loops (a rank waiting on
-/// itself, e.g. a blocking self-receive) are one-element cycles.
-fn find_cycle(waits: &[Vec<Rank>]) -> Vec<Rank> {
+/// itself, e.g. a blocking self-receive) are one-element cycles. The
+/// engine's deadlock diagnostic and the static analyzer's stall
+/// diagnosis both name the cycle this returns.
+pub fn find_cycle(waits: &[Vec<Rank>]) -> Vec<Rank> {
     #[derive(Clone, Copy, PartialEq)]
     enum Colour {
         White,

@@ -6,7 +6,8 @@
 //! exposes every OS-settable priority to user space through
 //! `/proc/<pid>/hmt_priority` (Section VI). This crate models that layer:
 //!
-//! * [`process`] — process control blocks and hardware-context addressing.
+//! * [`process`] — process control blocks, hardware-context addressing
+//!   and the same-core grouping of a placement.
 //! * [`kernel`] — the two kernel flavours: `Vanilla` (stock Linux
 //!   behaviour: priorities decay to MEDIUM at the first interrupt) and
 //!   `Patched` (the paper's kernel: priorities are preserved).
@@ -32,6 +33,6 @@ pub use machine::{
     CtxSnapshot, Machine, MachineError, MachineState, Segmentation, WaitPolicy, SHARD_COLLAPSE_CODE,
 };
 pub use noise::{BoundaryCalendar, NoiseCursor, NoiseError, NoiseSource};
-pub use priority_iface::{PriorityError, SetVia};
-pub use process::{CtxAddr, Pcb};
+pub use priority_iface::{PriorityError, PrioritySetting, SetVia};
+pub use process::{core_groups, core_pairs, CtxAddr, Pcb};
 pub use topology::Topology;

@@ -324,10 +324,9 @@ pub struct Machine {
 }
 
 /// The stable diagnostic code emitted when a non-contiguous share-group
-/// layout collapses sharded stepping to a single shard. The same string
-/// is published as `mtb_verify::diag::codes::SHARD_COLLAPSE` (the two are
-/// asserted equal by a bench test); it lives here too because `mtb-verify`
-/// depends on this crate, not the other way around.
+/// layout collapses sharded stepping to a single shard: the runtime note
+/// of [`Machine::runtime_notes`] and, as
+/// `mtb_verify::diag::codes::SHARD_COLLAPSE`, the static lint.
 pub const SHARD_COLLAPSE_CODE: &str = "MTB-SHARD-COLLAPSE";
 
 impl Machine {
@@ -675,7 +674,8 @@ impl Machine {
     /// Migrate `pid` to a different hardware context (it must be free).
     /// The process's workload, progress accounting and priority wish move
     /// with it; its old context drops to the idle priority. This is the
-    /// mechanism an adaptive mapper uses to re-pair ranks at run time.
+    /// mechanism the controller's cross-core remap uses to re-pair ranks
+    /// at run time.
     pub fn migrate(&mut self, pid: usize, to: CtxAddr) -> Result<(), MachineError> {
         if to.core >= self.cores.len() {
             return Err(MachineError::NoSuchContext);

@@ -8,12 +8,50 @@
 //!   /proc/<pid>/hmt_priority`) — added by the kernel patch, exposing all
 //!   OS-settable priorities (1..=6) to user space.
 //!
-//! This module validates a requested change against the interface used and
-//! the kernel flavour; the [`crate::machine::Machine`] applies validated
-//! requests.
+//! A [`PrioritySetting`] is one rank's request; this module validates a
+//! requested change against the interface used and the kernel flavour;
+//! the [`crate::machine::Machine`] applies validated requests.
 
 use crate::kernel::KernelFlavour;
 use mtb_smtsim::{HwPriority, PrivilegeLevel};
+
+/// How one rank's hardware priority is configured for a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrioritySetting {
+    /// Leave the kernel default (MEDIUM).
+    Default,
+    /// Write `/proc/<pid>/hmt_priority` (needs the patched kernel);
+    /// valid values 1..=6.
+    ProcFs(u8),
+    /// Execute the magic or-nop at the given privilege level (works on any
+    /// kernel; user space reaches only 2..=4 this way).
+    OrNop(u8, PrivilegeLevel),
+}
+
+impl PrioritySetting {
+    /// Shorthand for the common patched-kernel path.
+    pub fn procfs(v: u8) -> PrioritySetting {
+        PrioritySetting::ProcFs(v)
+    }
+
+    /// The numeric priority this setting requests (4 for `Default`).
+    pub fn requested(&self) -> u8 {
+        match self {
+            PrioritySetting::Default => 4,
+            PrioritySetting::ProcFs(v) | PrioritySetting::OrNop(v, _) => *v,
+        }
+    }
+
+    /// The interface the request goes through (`None` for `Default`,
+    /// which requests nothing).
+    pub fn via(&self) -> Option<SetVia> {
+        match *self {
+            PrioritySetting::Default => None,
+            PrioritySetting::ProcFs(_) => Some(SetVia::ProcFs),
+            PrioritySetting::OrNop(_, privilege) => Some(SetVia::OrNop(privilege)),
+        }
+    }
+}
 
 /// The path a priority-change request takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +130,16 @@ pub fn validate(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn requested_reports_the_value() {
+        assert_eq!(PrioritySetting::Default.requested(), 4);
+        assert_eq!(PrioritySetting::procfs(6).requested(), 6);
+        assert_eq!(
+            PrioritySetting::OrNop(2, PrivilegeLevel::User).requested(),
+            2
+        );
+    }
 
     #[test]
     fn user_ornop_limited_to_2_through_4() {

@@ -1,4 +1,5 @@
-//! Processes and hardware-context addressing.
+//! Processes, hardware-context addressing, and the same-core grouping of
+//! a placement.
 
 use mtb_smtsim::{HwPriority, ThreadId};
 use mtb_trace::Cycles;
@@ -36,6 +37,34 @@ impl CtxAddr {
             thread: self.thread.other(),
         }
     }
+}
+
+/// Group the ranks of a placement (`placement[rank]` = context) by the
+/// core they sit on: ascending core id, ranks in placement order.
+pub fn core_groups(placement: &[CtxAddr]) -> Vec<(usize, Vec<usize>)> {
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (rank, ctx) in placement.iter().enumerate() {
+        match groups.iter_mut().find(|(c, _)| *c == ctx.core) {
+            Some((_, ranks)) => ranks.push(rank),
+            None => groups.push((ctx.core, vec![rank])),
+        }
+    }
+    groups.sort_by_key(|(c, _)| *c);
+    groups
+}
+
+/// Every pair of ranks a placement puts on one core, as `(a, b)` with
+/// `a < b`, ordered by `a` then `b`.
+pub fn core_pairs(placement: &[CtxAddr]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for i in 0..placement.len() {
+        for j in (i + 1)..placement.len() {
+            if placement[i].core == placement[j].core {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
 }
 
 /// Scheduling state of a process.
@@ -125,6 +154,17 @@ mod tests {
         assert_eq!(s.core, 1);
         assert_eq!(s.thread, ThreadId::B);
         assert_eq!(s.sibling(), c);
+    }
+
+    #[test]
+    fn same_core_grouping() {
+        // Ranks 0 and 3 on core 1, ranks 1 and 2 on core 0.
+        let placement = [2, 0, 1, 3].map(CtxAddr::from_cpu);
+        assert_eq!(
+            core_groups(&placement),
+            vec![(0, vec![1, 2]), (1, vec![0, 3])]
+        );
+        assert_eq!(core_pairs(&placement), vec![(0, 3), (1, 2)]);
     }
 
     #[test]

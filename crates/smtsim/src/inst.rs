@@ -250,12 +250,47 @@ impl StreamSpec {
         StreamGen::new(*self)
     }
 
+    /// The analytic IPC model's bounds for this stream: its mix and miss
+    /// rates, the mean latency they imply, and the dependency and unit
+    /// bounds [`StreamSpec::profile`] combines with the decode width.
+    pub fn bounds(&self) -> IpcBounds {
+        let f = self.fractions();
+        let miss = self.miss_profile();
+        let avg_ls_lat = L1_LAT + miss.l1_miss * (L2_LAT + miss.l2_miss * MEM_LAT);
+        let avg_br_lat = BR_LAT + BR_MISS_RATE * BR_MISS_PENALTY;
+        let lats = [FX_LAT, FP_LAT, avg_ls_lat, avg_br_lat];
+        let avg_lat: f64 = f.iter().zip(lats).map(|(fr, l)| fr * l).sum();
+
+        let dep = f64::from(self.dep_dist.max(1)) / avg_lat.max(1.0);
+        let (unit_class, unit) = InstClass::ALL
+            .iter()
+            .map(|&c| {
+                let fr = f[c.index()];
+                let b = if fr <= 0.0 {
+                    f64::INFINITY
+                } else {
+                    UNITS[c.index()] / fr
+                };
+                (c, b)
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("four classes");
+        IpcBounds {
+            fractions: f,
+            miss,
+            avg_lat,
+            dep,
+            unit,
+            unit_class,
+        }
+    }
+
     /// Analytic steady-state profile (see module docs of
     /// [`crate::perfmodel`] for how it is consumed).
     ///
     /// The estimate mirrors the default cycle-core parameters:
     /// per-class unit counts and latencies, L1/L2 sizes. Three bounds are
-    /// combined:
+    /// combined ([`StreamSpec::bounds`]):
     ///
     /// * front end: the core decodes at most [`DECODE_WIDTH`] per cycle;
     /// * units: class `c` cannot exceed `units_c` issues/cycle, so
@@ -264,33 +299,16 @@ impl StreamSpec {
     ///   `L`, at most `d` chains overlap, so `IPC <= d / L` (classic
     ///   latency-concurrency bound).
     pub fn profile(&self) -> WorkloadProfile {
-        let f = self.fractions();
-        let miss = self.miss_profile();
-        let avg_ls_lat = L1_LAT + miss.l1_miss * (L2_LAT + miss.l2_miss * MEM_LAT);
-        let avg_br_lat = BR_LAT + BR_MISS_RATE * BR_MISS_PENALTY;
-        let lats = [FX_LAT, FP_LAT, avg_ls_lat, avg_br_lat];
-        let avg_lat: f64 = f.iter().zip(lats).map(|(fr, l)| fr * l).sum();
+        let b = self.bounds();
+        let ipc_st = DECODE_WIDTH.min(b.dep).min(b.unit).max(0.05);
 
-        let dep_bound = f64::from(self.dep_dist.max(1)) / avg_lat.max(1.0);
-        let unit_bound = InstClass::ALL
-            .iter()
-            .map(|c| {
-                let fr = f[c.index()];
-                if fr <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    UNITS[c.index()] / fr
-                }
-            })
-            .fold(f64::INFINITY, f64::min);
-        let ipc_st = DECODE_WIDTH.min(dep_bound).min(unit_bound).max(0.05);
-
-        let unit_pressure = if unit_bound.is_finite() {
-            (ipc_st / unit_bound).clamp(0.0, 1.0)
+        let unit_pressure = if b.unit.is_finite() {
+            (ipc_st / b.unit).clamp(0.0, 1.0)
         } else {
             0.0
         };
-        let mem_intensity = (f[InstClass::Ls.index()]
+        let miss = b.miss;
+        let mem_intensity = (b.fractions[InstClass::Ls.index()]
             * (miss.l1_miss * 2.0 + miss.l1_miss * miss.l2_miss * 6.0))
             .clamp(0.0, 1.0);
         WorkloadProfile {
@@ -330,6 +348,27 @@ fn regime(ws: f64, cap: f64) -> f64 {
         let nonresident = 1.0 - cap / ws;
         (JUMP_RATE * nonresident + (1.0 - JUMP_RATE) * SPATIAL_MISS).clamp(0.02, 0.98)
     }
+}
+
+/// The analytic IPC model's inputs and bounds for one stream
+/// ([`StreamSpec::bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IpcBounds {
+    /// Fraction of instructions per class ([`StreamSpec::fractions`]).
+    pub fractions: [f64; 4],
+    /// Estimated miss rates ([`StreamSpec::miss_profile`]).
+    pub miss: MissProfile,
+    /// Instruction-weighted mean latency, misses and mispredicts
+    /// included (cycles).
+    pub avg_lat: f64,
+    /// Dependency bound on IPC: `dep_dist / avg_lat`.
+    pub dep: f64,
+    /// Unit bound on IPC: the smallest `units_c / frac_c` (infinite when
+    /// the mix is empty).
+    pub unit: f64,
+    /// The class that sets [`IpcBounds::unit`]: the first of
+    /// [`InstClass::ALL`] on a tie.
+    pub unit_class: InstClass,
 }
 
 /// Estimated L1/L2 miss rates for a stream.
@@ -709,6 +748,25 @@ mod tests {
         let p = StreamSpec::mem_bound(1).profile();
         assert!(p.mem_intensity > 0.3, "mem intensity {}", p.mem_intensity);
         assert!(p.ipc_st < 0.5, "mem ipc {}", p.ipc_st);
+    }
+
+    #[test]
+    fn unit_bound_ties_name_the_first_class() {
+        let spec = StreamSpec {
+            fx: 1,
+            fp: 1,
+            ls: 1,
+            br: 1,
+            dep_dist: 64,
+            working_set: 1024,
+            code_kb: 8,
+            seed: 0,
+        };
+        let b = spec.bounds();
+        assert_eq!(b.unit_class, InstClass::Fx);
+        assert_eq!(b.unit, 8.0);
+        // The profile's IPC is the tightest of the three bounds.
+        assert_eq!(spec.profile().ipc_st, DECODE_WIDTH.min(b.dep).min(b.unit));
     }
 
     #[test]

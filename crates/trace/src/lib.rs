@@ -29,7 +29,7 @@ pub mod timeline;
 
 pub use energy::{EnergyModel, EnergyReport};
 pub use gantt::{render_gantt, GanttConfig};
-pub use metrics::{ImbalanceReport, ProcBreakdown, RunMetrics};
+pub use metrics::{improvement_pct, ProcBreakdown, RunMetrics};
 pub use state::ProcState;
 pub use table::Table;
 pub use timeline::{Interval, Timeline, TimelineBuilder};

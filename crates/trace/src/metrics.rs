@@ -11,7 +11,8 @@
 //!
 //! Tables IV-VI additionally report, per process, the percentage of time
 //! spent computing (`Comp %`) and synchronizing (`Sync %`); this module
-//! computes all of those from a set of [`Timeline`]s.
+//! computes all of those from a set of [`Timeline`]s. Every comparison
+//! of two runs is stated as the paper states it, by [`improvement_pct`].
 
 use crate::state::ProcState;
 use crate::timeline::Timeline;
@@ -97,17 +98,6 @@ impl RunMetrics {
         }
     }
 
-    /// Percentage improvement of `self` over a reference run
-    /// (positive = `self` is faster), as the paper reports it:
-    /// `100 * (ref - this) / ref`.
-    pub fn improvement_over(&self, reference: &RunMetrics) -> f64 {
-        if reference.exec_cycles == 0 {
-            return 0.0;
-        }
-        100.0 * (reference.exec_cycles as f64 - self.exec_cycles as f64)
-            / reference.exec_cycles as f64
-    }
-
     /// Speedup of `self` relative to `reference` (>1 = faster).
     pub fn speedup_over(&self, reference: &RunMetrics) -> f64 {
         if self.exec_cycles == 0 {
@@ -117,51 +107,14 @@ impl RunMetrics {
     }
 }
 
-/// A compact imbalance summary used by the dynamic balancing policy: who is
-/// the bottleneck, who has the most slack.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImbalanceReport {
-    /// pid of the process with the largest useful-compute time.
-    pub bottleneck: usize,
-    /// pid of the process with the largest waiting share.
-    pub most_waiting: usize,
-    /// The imbalance percentage (max waiting share).
-    pub imbalance_pct: f64,
-    /// Useful cycles of the bottleneck process.
-    pub bottleneck_comp: Cycles,
-    /// Useful cycles of the least-loaded process.
-    pub min_comp: Cycles,
-}
-
-impl ImbalanceReport {
-    /// Derive a report from run metrics.
-    ///
-    /// Returns `None` for an empty run.
-    pub fn from_metrics(m: &RunMetrics) -> Option<ImbalanceReport> {
-        let bottleneck = m.procs.iter().max_by_key(|p| p.comp_cycles)?;
-        let most_waiting = m
-            .procs
-            .iter()
-            .max_by(|a, b| a.sync_pct.total_cmp(&b.sync_pct))?;
-        let min_comp = m.procs.iter().map(|p| p.comp_cycles).min()?;
-        Some(ImbalanceReport {
-            bottleneck: bottleneck.pid,
-            most_waiting: most_waiting.pid,
-            imbalance_pct: m.imbalance_pct,
-            bottleneck_comp: bottleneck.comp_cycles,
-            min_comp,
-        })
+/// Percentage improvement of a run taking `cycles` over a reference run
+/// taking `reference` (positive = faster), as the paper reports it:
+/// `100 * (ref - x) / ref`. A zero-cycle reference gives 0.
+pub fn improvement_pct(reference: Cycles, cycles: Cycles) -> f64 {
+    if reference == 0 {
+        return 0.0;
     }
-
-    /// Ratio between the heaviest and lightest compute loads (1.0 = fully
-    /// balanced). Returns `f64::INFINITY` when the lightest did nothing.
-    pub fn load_ratio(&self) -> f64 {
-        if self.min_comp == 0 {
-            f64::INFINITY
-        } else {
-            self.bottleneck_comp as f64 / self.min_comp as f64
-        }
-    }
+    100.0 * (reference as f64 - cycles as f64) / reference as f64
 }
 
 #[cfg(test)]
@@ -211,7 +164,6 @@ mod tests {
         assert_eq!(m.exec_cycles, 0);
         assert_eq!(m.imbalance_pct, 0.0);
         assert!(m.procs.is_empty());
-        assert!(ImbalanceReport::from_metrics(&m).is_none());
     }
 
     #[test]
@@ -226,30 +178,10 @@ mod tests {
             imbalance_pct: 0.0,
             exec_cycles: 100,
         };
-        assert!((fast.improvement_over(&slow) - 20.0).abs() < 1e-9);
+        assert!((improvement_pct(slow.exec_cycles, fast.exec_cycles) - 20.0).abs() < 1e-9);
         assert!((fast.speedup_over(&slow) - 1.25).abs() < 1e-9);
-        assert!((slow.improvement_over(&fast) + 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn report_identifies_bottleneck_and_waiter() {
-        let m = RunMetrics::from_timelines(&imbalanced_pair());
-        let r = ImbalanceReport::from_metrics(&m).unwrap();
-        assert_eq!(r.bottleneck, 0);
-        assert_eq!(r.most_waiting, 1);
-        assert!((r.load_ratio() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn load_ratio_handles_zero_work() {
-        let mut b0 = TimelineBuilder::new(0, "P0", 0, ProcState::Compute);
-        b0.enter(ProcState::Compute, 0);
-        let t0 = b0.finish(10);
-        let b1 = TimelineBuilder::new(1, "P1", 0, ProcState::Sync);
-        let t1 = b1.finish(10);
-        let m = RunMetrics::from_timelines(&[t0, t1]);
-        let r = ImbalanceReport::from_metrics(&m).unwrap();
-        assert!(r.load_ratio().is_infinite());
+        assert!((improvement_pct(fast.exec_cycles, slow.exec_cycles) + 25.0).abs() < 1e-9);
+        assert_eq!(improvement_pct(0, 10), 0.0);
     }
 
     proptest! {

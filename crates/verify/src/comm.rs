@@ -13,10 +13,10 @@
 
 use crate::diag::{codes, Diagnostic, Report, Severity};
 use mtb_mpisim::collective::EpochKind;
-use mtb_mpisim::interp::{flatten, flatten_symbolic, path_string, FlatOp, SymOp, SymOpKind};
+use mtb_mpisim::engine::find_cycle;
+use mtb_mpisim::interp::{flatten_symbolic, path_string, FlatOp, SymOp, SymOpKind};
 use mtb_mpisim::program::Stmt;
 use mtb_mpisim::{Program, Rank, Tag};
-use mtb_smtsim::pairmodel::SPIN_PROFILE;
 
 /// Run every communication check over one program per rank.
 pub fn check_programs(programs: &[Program]) -> Report {
@@ -564,77 +564,4 @@ impl<'a> Executor<'a> {
             }
         }
     }
-}
-
-/// DFS cycle search over the wait-for graph; mirrors the engine's
-/// diagnostic (`mtb_mpisim::engine`), including one-rank self-loops.
-fn find_cycle(waits: &[Vec<Rank>]) -> Vec<Rank> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        White,
-        Grey,
-        Black,
-    }
-    fn visit(
-        r: Rank,
-        waits: &[Vec<Rank>],
-        colour: &mut [Colour],
-        stack: &mut Vec<Rank>,
-    ) -> Option<Vec<Rank>> {
-        colour[r] = Colour::Grey;
-        stack.push(r);
-        for &next in &waits[r] {
-            match colour[next] {
-                Colour::Grey => {
-                    let start = stack.iter().position(|&x| x == next).unwrap_or(0);
-                    return Some(stack[start..].to_vec());
-                }
-                Colour::White => {
-                    if let Some(c) = visit(next, waits, colour, stack) {
-                        return Some(c);
-                    }
-                }
-                Colour::Black => {}
-            }
-        }
-        stack.pop();
-        colour[r] = Colour::Black;
-        None
-    }
-    let mut colour = vec![Colour::White; waits.len()];
-    for r in 0..waits.len() {
-        if colour[r] == Colour::White {
-            let mut stack = Vec::new();
-            if let Some(c) = visit(r, waits, &mut colour, &mut stack) {
-                return c;
-            }
-        }
-    }
-    Vec::new()
-}
-
-/// Per-rank work summary derived from a concrete flatten: total compute
-/// instructions and the profile of the dominant compute phase. Feeds the
-/// priority-inversion lint.
-pub fn rank_loads(programs: &[Program]) -> Vec<crate::prio::RankLoad> {
-    programs
-        .iter()
-        .enumerate()
-        .map(|(rank, prog)| {
-            let mut work: u64 = 0;
-            let mut dominant: Option<(u64, mtb_smtsim::model::WorkloadProfile)> = None;
-            for op in flatten(prog, rank) {
-                if let FlatOp::Compute(ws) = op {
-                    work += ws.instructions;
-                    if dominant.map_or(true, |(w, _)| ws.instructions > w) {
-                        dominant = Some((ws.instructions, ws.workload.profile));
-                    }
-                }
-            }
-            crate::prio::RankLoad {
-                work,
-                profile: dominant.map_or(SPIN_PROFILE, |(_, p)| p),
-            }
-        })
-        .collect()
 }

@@ -75,10 +75,9 @@ pub mod codes {
     pub const PRIO_INVERT: &str = "MTB-PRIO-INVERT";
     /// A non-contiguous share-group (L2-domain) placement collapses the
     /// machine's sharded stepping to a single shard: the run stays
-    /// correct but `--jobs` buys no intra-run speedup. The same string is
-    /// `mtb_oskernel::SHARD_COLLAPSE_CODE` (the runtime note embedded in
-    /// run records).
-    pub const SHARD_COLLAPSE: &str = "MTB-SHARD-COLLAPSE";
+    /// correct but `--jobs` buys no intra-run speedup. The runtime note
+    /// embedded in run records carries the same code.
+    pub const SHARD_COLLAPSE: &str = mtb_oskernel::SHARD_COLLAPSE_CODE;
     /// Two high-ILP ranks co-scheduled on one SMT core with overlapping
     /// unit mixes: both want more than the fair decode share, so pairing
     /// each with a low-ILP rank is predicted to be faster (ILP-aware

@@ -28,8 +28,8 @@
 //!   [`Report`] all passes write into.
 //!
 //! Entry points: [`verify_programs`] (comm only), [`verify_case`]
-//! (priorities only), [`verify`] (both, deriving per-rank loads and
-//! profiles from the programs).
+//! (priorities only), [`verify`] (both, deriving per-rank profiles, and
+//! the loads the priority lints read from them, from the programs).
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +41,7 @@ pub mod profile;
 
 pub use diag::{check_share_groups, codes, Diagnostic, Report, Severity};
 pub use plan::{enumerate_plans, predict, Plan, Prediction};
-pub use prio::{CaseSpec, PrioritySpec, RankLoad};
+pub use prio::{CaseSpec, RankLoad};
 pub use profile::{infer_profiles, Boundedness, IlpClass, RankProfile};
 
 use mtb_mpisim::Program;
@@ -57,15 +57,16 @@ pub fn verify_case(case: &CaseSpec, loads: &[RankLoad]) -> Report {
     prio::check_case(case, loads)
 }
 
-/// Full verification of a `(programs, case)` pair: communication checks
-/// plus priority lints, with per-rank loads derived from the programs'
-/// concrete flattening, and the model-driven placement advisories over
-/// the inferred resource profiles.
+/// Full verification of a `(programs, case)` pair: communication checks,
+/// then the priority lints and the model-driven placement advisories,
+/// both over the resource profiles inferred once from the programs'
+/// concrete flattening (the priority lints read each rank's
+/// [`RankProfile::load`]).
 pub fn verify(programs: &[Program], case: &CaseSpec) -> Report {
     let mut report = comm::check_programs(programs);
-    let loads = comm::rank_loads(programs);
-    report.merge(prio::check_case(case, &loads));
     let profiles = profile::infer_profiles(programs);
+    let loads: Vec<RankLoad> = profiles.iter().map(RankProfile::load).collect();
+    report.merge(prio::check_case(case, &loads));
     report.merge(plan::check_plan(case, &profiles));
     report
 }

@@ -27,7 +27,7 @@
 use crate::diag::{codes, Diagnostic, Report, Severity};
 use crate::prio::{self, CaseSpec, RankLoad};
 use crate::profile::{corun_interference, IlpClass, RankProfile};
-use mtb_oskernel::CtxAddr;
+use mtb_oskernel::{core_groups, core_pairs, CtxAddr};
 use mtb_smtsim::pairmodel::solo_rate;
 
 /// One candidate static configuration: placement plus effective hardware
@@ -74,20 +74,6 @@ pub struct Prediction {
     /// Spread between the slowest and fastest core as a percentage of
     /// the mean core time.
     pub imbalance_pct: f64,
-}
-
-/// Group ranks by the core they are placed on, ascending core id, ranks
-/// in placement order.
-pub fn core_groups(placement: &[CtxAddr]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (rank, ctx) in placement.iter().enumerate() {
-        match groups.iter_mut().find(|(c, _)| *c == ctx.core) {
-            Some((_, ranks)) => ranks.push(rank),
-            None => groups.push((ctx.core, vec![rank])),
-        }
-    }
-    groups.sort_by_key(|(c, _)| *c);
-    groups
 }
 
 /// Per-epoch load vectors for the phase-aligned path: `loads[e][rank]`.
@@ -305,7 +291,7 @@ pub fn check_plan(case: &CaseSpec, profiles: &[RankProfile]) -> Report {
     // MTB-ILP-CONFLICT: two high-ILP ranks fighting over one core's
     // units. Both want more than the fair decode share, and their unit
     // mixes overlap enough that neither gets it.
-    for (a, b) in prio::core_pairs(&case.placement) {
+    for (a, b) in core_pairs(&case.placement) {
         let (pa, pb) = (&profiles[a], &profiles[b]);
         if pa.ilp == IlpClass::High && pb.ilp == IlpClass::High {
             let score = corun_interference(pa, pb);
@@ -399,10 +385,9 @@ pub fn check_plan(case: &CaseSpec, profiles: &[RankProfile]) -> Report {
 mod tests {
     use super::*;
     use crate::profile::infer_profiles;
-    use crate::PrioritySpec;
     use mtb_mpisim::program::WorkSpec;
     use mtb_mpisim::ProgramBuilder;
-    use mtb_oskernel::KernelFlavour;
+    use mtb_oskernel::{KernelFlavour, PrioritySetting};
     use mtb_smtsim::model::Workload;
     use mtb_smtsim::StreamSpec;
 
@@ -479,7 +464,7 @@ mod tests {
             .all(|p| { p.priorities.iter().all(|&v| PRIORITY_LADDER.contains(&v)) }));
         // Every plan respects the bounded-difference limit per core.
         for plan in &plans {
-            for (a, b) in prio::core_pairs(&plan.placement) {
+            for (a, b) in core_pairs(&plan.placement) {
                 assert!(plan.priorities[a].abs_diff(plan.priorities[b]) <= 2);
             }
         }
@@ -504,7 +489,7 @@ mod tests {
         let case = CaseSpec {
             name: "test/A".into(),
             placement: identity(4),
-            priorities: vec![PrioritySpec::Default; 4],
+            priorities: vec![PrioritySetting::Default; 4],
             flavour: KernelFlavour::Patched,
         };
         let r = check_plan(&case, &profiles);

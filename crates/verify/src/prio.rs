@@ -7,37 +7,16 @@
 //! It evaluates the mesoscale decode-share model over the case's
 //! placement, including the finished rank's busy-wait spin load, and
 //! flags pairs predicted to invert the compute imbalance while worsening
-//! the core's makespan.
+//! the core's makespan. Each rank's load is its inferred profile's
+//! [`RankProfile::load`](crate::profile::RankProfile::load): [`crate::verify`]
+//! and `mtb suggest`'s hazard filter feed it the same input.
 
 use crate::diag::{codes, Diagnostic, Report, Severity};
-use mtb_oskernel::priority_iface::{validate, SetVia};
-use mtb_oskernel::{CtxAddr, KernelFlavour};
+use mtb_oskernel::priority_iface::{validate, PrioritySetting};
+use mtb_oskernel::{core_pairs, CtxAddr, KernelFlavour};
 use mtb_smtsim::model::WorkloadProfile;
 use mtb_smtsim::pairmodel::pair_makespan;
-use mtb_smtsim::{HwPriority, PrivilegeLevel};
-
-/// How a rank's priority is requested — mirrors
-/// `mtb_core::policy::PrioritySetting` without depending on `mtb-core`
-/// (which depends on this crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrioritySpec {
-    /// Leave the hardware default (MEDIUM, 4).
-    Default,
-    /// Write `value` to `/proc/<pid>/hmt_priority` (patched kernel only).
-    ProcFs(u8),
-    /// Execute the priority-setting `or`-nop at the given privilege.
-    OrNop(u8, PrivilegeLevel),
-}
-
-impl PrioritySpec {
-    /// The priority value the setting asks for (4 for `Default`).
-    pub fn requested(&self) -> u8 {
-        match self {
-            PrioritySpec::Default => 4,
-            PrioritySpec::ProcFs(v) | PrioritySpec::OrNop(v, _) => *v,
-        }
-    }
-}
+use mtb_smtsim::HwPriority;
 
 /// A priority configuration to lint: a named case's placement and
 /// per-rank priorities under a kernel flavour.
@@ -48,14 +27,14 @@ pub struct CaseSpec {
     /// `placement[rank]` = hardware context.
     pub placement: Vec<CtxAddr>,
     /// Per-rank priority settings (short vectors pad with `Default`).
-    pub priorities: Vec<PrioritySpec>,
+    pub priorities: Vec<PrioritySetting>,
     /// Kernel flavour the case runs under.
     pub flavour: KernelFlavour,
 }
 
 /// Per-rank compute summary the inversion lint predicts from: total
 /// instructions and the dominant phase's profile (see
-/// [`crate::comm::rank_loads`]).
+/// [`RankProfile::load`](crate::profile::RankProfile::load)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankLoad {
     /// Total compute instructions across the rank's program.
@@ -80,17 +59,8 @@ pub fn check_case(case: &CaseSpec, loads: &[RankLoad]) -> Report {
 
     // Per-rank legality under the configured interface (Table I).
     for rank in 0..n {
-        let spec = case
-            .priorities
-            .get(rank)
-            .copied()
-            .unwrap_or(PrioritySpec::Default);
-        let via = match spec {
-            PrioritySpec::Default => None,
-            PrioritySpec::ProcFs(_) => Some(SetVia::ProcFs),
-            PrioritySpec::OrNop(_, lvl) => Some(SetVia::OrNop(lvl)),
-        };
-        if let Some(via) = via {
+        let spec = setting(case, rank);
+        if let Some(via) = spec.via() {
             if let Err(e) = validate(case.flavour, spec.requested(), via) {
                 report.push(
                     Diagnostic::new(
@@ -193,35 +163,19 @@ pub fn check_case(case: &CaseSpec, loads: &[RankLoad]) -> Report {
 /// first interrupt, so pair dynamics behave as 4 (the legality Error is
 /// reported separately).
 pub(crate) fn effective(case: &CaseSpec, rank: usize) -> u8 {
-    let spec = case
-        .priorities
-        .get(rank)
-        .copied()
-        .unwrap_or(PrioritySpec::Default);
-    match spec {
-        PrioritySpec::Default => 4,
-        PrioritySpec::ProcFs(v) => {
-            if case.flavour.has_procfs_interface() {
-                v
-            } else {
-                4
-            }
-        }
-        PrioritySpec::OrNop(v, _) => v,
+    match setting(case, rank) {
+        PrioritySetting::ProcFs(_) if !case.flavour.has_procfs_interface() => 4,
+        spec => spec.requested(),
     }
 }
 
-/// Same-core rank pairs, placement order.
-pub(crate) fn core_pairs(placement: &[CtxAddr]) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    for i in 0..placement.len() {
-        for j in (i + 1)..placement.len() {
-            if placement[i].core == placement[j].core {
-                pairs.push((i, j));
-            }
-        }
-    }
-    pairs
+/// The setting `rank` requests (`Default` past the end of a short
+/// vector).
+fn setting(case: &CaseSpec, rank: usize) -> PrioritySetting {
+    case.priorities
+        .get(rank)
+        .copied()
+        .unwrap_or(PrioritySetting::Default)
 }
 
 /// Two-phase makespan of a core pair ([`pair_makespan`]): both compute
@@ -281,7 +235,7 @@ mod tests {
         WorkloadProfile::new(ipc, 0.05, 0.02)
     }
 
-    fn case(priorities: Vec<PrioritySpec>) -> CaseSpec {
+    fn case(priorities: Vec<PrioritySetting>) -> CaseSpec {
         CaseSpec {
             name: "test".into(),
             placement: (0..priorities.len()).map(CtxAddr::from_cpu).collect(),
@@ -293,7 +247,7 @@ mod tests {
     #[test]
     fn procfs_zero_and_seven_are_illegal() {
         let r = check_case(
-            &case(vec![PrioritySpec::ProcFs(0), PrioritySpec::ProcFs(7)]),
+            &case(vec![PrioritySetting::ProcFs(0), PrioritySetting::ProcFs(7)]),
             &[],
         );
         assert_eq!(r.count(Severity::Error), 3, "{r}"); // 0: illegal+starve, 7: illegal
@@ -303,7 +257,7 @@ mod tests {
 
     #[test]
     fn procfs_on_vanilla_kernel_is_illegal() {
-        let mut c = case(vec![PrioritySpec::ProcFs(5), PrioritySpec::Default]);
+        let mut c = case(vec![PrioritySetting::ProcFs(5), PrioritySetting::Default]);
         c.flavour = KernelFlavour::Vanilla;
         let r = check_case(&c, &[]);
         assert!(r.has_code(codes::PRIO_ILLEGAL), "{r}");
@@ -312,7 +266,7 @@ mod tests {
     #[test]
     fn starved_low_priority_pair_warns() {
         let r = check_case(
-            &case(vec![PrioritySpec::ProcFs(1), PrioritySpec::ProcFs(6)]),
+            &case(vec![PrioritySetting::ProcFs(1), PrioritySetting::ProcFs(6)]),
             &[],
         );
         assert!(r.has_code(codes::PRIO_STARVE), "{r}");
@@ -323,7 +277,7 @@ mod tests {
     #[test]
     fn bounded_difference_respected_pairs_are_quiet() {
         let r = check_case(
-            &case(vec![PrioritySpec::ProcFs(4), PrioritySpec::ProcFs(6)]),
+            &case(vec![PrioritySetting::ProcFs(4), PrioritySetting::ProcFs(6)]),
             &[],
         );
         assert!(!r.has_code(codes::PRIO_DIFF), "{r}");
@@ -342,7 +296,7 @@ mod tests {
             profile: dense(2.8),
         };
         let r = check_case(
-            &case(vec![PrioritySpec::ProcFs(3), PrioritySpec::ProcFs(6)]),
+            &case(vec![PrioritySetting::ProcFs(3), PrioritySetting::ProcFs(6)]),
             &[light, heavy],
         );
         assert!(r.has_code(codes::PRIO_INVERT), "{r}");
@@ -359,7 +313,7 @@ mod tests {
             profile: dense(2.8),
         };
         let r = check_case(
-            &case(vec![PrioritySpec::ProcFs(4), PrioritySpec::ProcFs(6)]),
+            &case(vec![PrioritySetting::ProcFs(4), PrioritySetting::ProcFs(6)]),
             &[light, heavy],
         );
         assert!(!r.has_code(codes::PRIO_INVERT), "{r}");
@@ -377,7 +331,7 @@ mod tests {
             profile: dense(2.8),
         };
         let r = check_case(
-            &case(vec![PrioritySpec::Default, PrioritySpec::Default]),
+            &case(vec![PrioritySetting::Default, PrioritySetting::Default]),
             &[l, h],
         );
         assert!(r.diagnostics.is_empty(), "{r}");

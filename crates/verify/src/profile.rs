@@ -1,9 +1,9 @@
 //! Resource-profile inference: abstract interpretation of each rank's
 //! statement stream into per-phase resource profiles.
 //!
-//! [`crate::comm::rank_loads`] reduces a rank to a single `(work,
-//! profile)` pair — enough for the pairwise inversion lint, too coarse
-//! for placement search. This module keeps the *structure*: the flat
+//! [`RankProfile::load`] reduces a rank to a single `(work, profile)`
+//! pair — enough for the pairwise inversion lint, too coarse for
+//! placement search. The phases keep the *structure*: the flat
 //! operation stream is segmented at synchronization epochs (`Barrier`,
 //! `AllReduce`, `Bcast`, `Reduce` — the same boundaries
 //! [`mtb_mpisim::interp::count_sync_epochs`] counts), and each segment is
@@ -32,10 +32,7 @@
 
 use mtb_mpisim::interp::{flatten, FlatOp};
 use mtb_mpisim::Program;
-use mtb_smtsim::inst::{
-    InstClass, StreamSpec, BR_LAT, BR_MISS_PENALTY, BR_MISS_RATE, DECODE_WIDTH, FP_LAT, FX_LAT,
-    L1_LAT, L2_BYTES, L2_LAT, MEM_LAT, UNITS,
-};
+use mtb_smtsim::inst::{InstClass, StreamSpec, DECODE_WIDTH, L2_BYTES, MEM_LAT, UNITS};
 use mtb_smtsim::model::WorkloadProfile;
 use mtb_smtsim::pairmodel::SPIN_PROFILE;
 
@@ -134,8 +131,9 @@ pub struct RankProfile {
     pub phases: Vec<PhaseProfile>,
     /// Instruction-weighted whole-program unit mix.
     pub mix: [f64; 4],
-    /// Mesoscale profile of the dominant workload (same selection rule
-    /// as [`crate::comm::rank_loads`]).
+    /// Mesoscale profile of the dominant workload: the heaviest compute
+    /// op of the phase with the most work (the profile
+    /// [`RankProfile::load`] hands the priority lints).
     pub profile: WorkloadProfile,
     /// Binding constraint of the dominant workload.
     pub bound: Boundedness,
@@ -153,42 +151,22 @@ impl RankProfile {
     }
 }
 
-/// Classify which analytic bound binds a stream spec, mirroring the
-/// bound combination in [`StreamSpec::profile`].
+/// Classify which analytic bound binds a stream spec, from the bounds
+/// [`StreamSpec::profile`] combines ([`StreamSpec::bounds`]).
 pub fn classify_bound(spec: &StreamSpec) -> Boundedness {
-    let f = spec.fractions();
-    let miss = spec.miss_profile();
-    let avg_ls_lat = L1_LAT + miss.l1_miss * (L2_LAT + miss.l2_miss * MEM_LAT);
-    let avg_br_lat = BR_LAT + BR_MISS_RATE * BR_MISS_PENALTY;
-    let lats = [FX_LAT, FP_LAT, avg_ls_lat, avg_br_lat];
-    let avg_lat: f64 = f.iter().zip(lats).map(|(fr, l)| fr * l).sum();
-
-    let dep_bound = f64::from(spec.dep_dist.max(1)) / avg_lat.max(1.0);
-    let (unit_class, unit_bound) = InstClass::ALL
-        .iter()
-        .map(|&c| {
-            let fr = f[c.index()];
-            let b = if fr <= 0.0 {
-                f64::INFINITY
-            } else {
-                UNITS[c.index()] / fr
-            };
-            (c, b)
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("four classes");
-
-    if dep_bound <= unit_bound && dep_bound <= DECODE_WIDTH {
+    let b = spec.bounds();
+    if b.dep <= b.unit && b.dep <= DECODE_WIDTH {
         // Dependency-bound; call it memory-bound when the latency term is
         // dominated by misses that leave the L2.
-        let mem_latency = f[InstClass::Ls.index()] * miss.l1_miss * miss.l2_miss * MEM_LAT;
-        if spec.working_set > L2_BYTES && mem_latency > avg_lat * 0.5 {
+        let mem_latency =
+            b.fractions[InstClass::Ls.index()] * b.miss.l1_miss * b.miss.l2_miss * MEM_LAT;
+        if spec.working_set > L2_BYTES && mem_latency > b.avg_lat * 0.5 {
             Boundedness::Memory
         } else {
             Boundedness::Dependency
         }
-    } else if unit_bound <= DECODE_WIDTH {
-        Boundedness::Unit(unit_class)
+    } else if b.unit <= DECODE_WIDTH {
+        Boundedness::Unit(b.unit_class)
     } else {
         Boundedness::Decode
     }

@@ -13,11 +13,11 @@
 //!   *simulator* must not leak into static verdicts).
 
 use mtb_mpisim::program::{Program, ProgramBuilder, WorkSpec};
-use mtb_oskernel::{CtxAddr, KernelFlavour};
+use mtb_oskernel::{CtxAddr, KernelFlavour, PrioritySetting};
 use mtb_smtsim::inst::StreamSpec;
 use mtb_smtsim::model::{Workload, WorkloadProfile};
 use mtb_verify::plan::enumerate_pairings;
-use mtb_verify::{enumerate_plans, infer_profiles, predict, CaseSpec, PrioritySpec};
+use mtb_verify::{enumerate_plans, infer_profiles, predict, CaseSpec};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -88,7 +88,7 @@ fn case_for(placement: &[CtxAddr], priorities: &[u8]) -> CaseSpec {
         placement: placement.to_vec(),
         priorities: priorities
             .iter()
-            .map(|&p| PrioritySpec::ProcFs(p.clamp(1, 6)))
+            .map(|&p| PrioritySetting::ProcFs(p.clamp(1, 6)))
             .collect(),
         flavour: KernelFlavour::Patched,
     }

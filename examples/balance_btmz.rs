@@ -8,7 +8,8 @@
 
 use mtbalance::workloads::btmz::BtMzConfig;
 use mtbalance::{
-    best_pair, cycles_to_seconds, execute, pair_by_load, CtxAddr, PrioritySetting, StaticRun,
+    best_pair, cycles_to_seconds, execute, improvement_pct, pair_by_load, CtxAddr, PrioritySetting,
+    StaticRun,
 };
 
 fn main() {
@@ -65,8 +66,7 @@ fn main() {
         "balanced:  {:.2}s (imbalance {:.1}%) -> {:+.1}% improvement",
         cycles_to_seconds(balanced.total_cycles),
         balanced.metrics.imbalance_pct,
-        100.0 * (reference.total_cycles as f64 - balanced.total_cycles as f64)
-            / reference.total_cycles as f64
+        improvement_pct(reference.total_cycles, balanced.total_cycles)
     );
     println!("(the paper's hand-tuned best case D reaches ~18%)");
     println!(

@@ -8,7 +8,9 @@
 
 use mtbalance::balance::mapper::{block_placement, striped_placement};
 use mtbalance::workloads::btmz::{contiguous_partition, BtMzConfig};
-use mtbalance::{best_pair, cycles_to_seconds, execute, CtxAddr, PrioritySetting, StaticRun};
+use mtbalance::{
+    best_pair, cycles_to_seconds, execute, improvement_pct, CtxAddr, PrioritySetting, StaticRun,
+};
 
 fn main() {
     // Eight ranks over the 16 BT-MZ zones, with hefty boundary exchanges
@@ -63,6 +65,6 @@ fn main() {
 
     println!(
         "\ntotal gain over the topology-oblivious schedule: {:.1}%",
-        100.0 * (striped as f64 - best as f64) / striped as f64
+        improvement_pct(striped, best)
     );
 }

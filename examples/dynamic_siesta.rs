@@ -10,8 +10,8 @@ use mtbalance::balance::remap::Composite;
 use mtbalance::trace::stats::histogram;
 use mtbalance::workloads::siesta::SiestaConfig;
 use mtbalance::{
-    cycles_to_seconds, execute, execute_with, DynamicBalancer, DynamicConfig, Machine, Observer,
-    RankWindow, StaticRun,
+    cycles_to_seconds, execute, execute_with, improvement_pct, DynamicBalancer, DynamicConfig,
+    Machine, Observer, RankWindow, StaticRun,
 };
 
 /// Wraps the balancer to log what it does at each synchronization epoch.
@@ -64,8 +64,7 @@ fn main() {
         "dynamic policy:                            {:.2}s, imbalance {:.1}% ({:+.1}%)",
         cycles_to_seconds(dynamic.total_cycles),
         dynamic.metrics.imbalance_pct,
-        100.0 * (reference.total_cycles as f64 - dynamic.total_cycles as f64)
-            / reference.total_cycles as f64
+        improvement_pct(reference.total_cycles, dynamic.total_cycles)
     );
     println!(
         "policy activity: {} adjustments, {} audited reverts",

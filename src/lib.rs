@@ -61,4 +61,6 @@ pub use mtb_oskernel::{CtxAddr, KernelConfig, Machine, NoiseSource, Topology, Wa
 pub use mtb_smtsim::model::{Workload, WorkloadProfile};
 pub use mtb_smtsim::pairmodel::{best_pair, pair_makespan, pair_rates};
 pub use mtb_smtsim::{HwPriority, StreamSpec};
-pub use mtb_trace::{cycles_to_seconds, render_gantt, GanttConfig, RunMetrics, Table};
+pub use mtb_trace::{
+    cycles_to_seconds, improvement_pct, render_gantt, GanttConfig, RunMetrics, Table,
+};
